@@ -75,14 +75,9 @@ class CovarianceMatrix:
 
 
 def _as_prob_vector(p) -> np.ndarray:
-    if isinstance(p, MarginalDistribution):
-        return p.probs
-    probs = np.asarray(p, dtype=np.float64)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("expected a probability vector")
-    if not np.isfinite(probs).all() or (probs < 0).any() or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise ValueError("expected nonnegative probabilities summing to 1")
-    return probs
+    if not isinstance(p, MarginalDistribution):
+        p = MarginalDistribution(p, axis="row")
+    return p.probs
 
 
 def multinomial_covariance(p) -> CovarianceMatrix:

@@ -8,6 +8,7 @@ first half-iteration of :func:`ipf_fit`, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -270,8 +271,8 @@ def ipf_fit(
         raise ValueError("target marginal lengths must match the table dims")
     row_target.require_positive("row target")
     col_target.require_positive("column target")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
 

@@ -37,7 +37,7 @@ from .simulation import (
     ExperimentGrid,
     GridCell,
 )
-from .tables import Axis, CountTable, JointDistribution, MarginalDistribution
+from .tables import INT64_MAX, Axis, CountTable, JointDistribution, MarginalDistribution
 
 __all__ = [
     "ParseError",
@@ -45,7 +45,6 @@ __all__ = [
     "read_count_table",
     "parse_count_table_text",
     "render_count_table",
-    "write_count_table",
     "read_marginal",
     "parse_marginal_text",
     "render_marginal",
@@ -134,20 +133,27 @@ def _parse_table_body(lines, source, n_rows, n_cols, convert):
     return rows
 
 
+def _count_token(token: str, source: str, line_no: int) -> int:
+    if not _INT_RE.match(token):
+        raise ParseError(source, line_no, f"not an integer count: {token!r}")
+    value = int(token)
+    if value < 0:
+        raise ParseError(source, line_no, f"negative count: {value}")
+    if value > INT64_MAX:
+        raise ParseError(source, line_no, f"count {value} exceeds the int64 range")
+    return value
+
+
 def parse_count_table_text(text: str, source: str = "<string>") -> CountTable:
     lines = text.splitlines()
     n_rows, n_cols = _parse_table_header(lines, source)
-
-    def convert(token: str, line_no: int) -> int:
-        if not _INT_RE.match(token):
-            raise ParseError(source, line_no, f"not an integer count: {token!r}")
-        value = int(token)
-        if value < 0:
-            raise ParseError(source, line_no, f"negative count: {value}")
-        return value
-
-    rows = _parse_table_body(lines, source, n_rows, n_cols, convert)
-    return CountTable(np.array(rows, dtype=np.int64))
+    rows = _parse_table_body(
+        lines, source, n_rows, n_cols, lambda tok, ln: _count_token(tok, source, ln)
+    )
+    try:
+        return CountTable(np.array(rows, dtype=np.int64))
+    except ValueError as exc:
+        raise ParseError(source, 1, str(exc)) from None
 
 
 def read_count_table(path) -> CountTable:
@@ -158,10 +164,6 @@ def render_count_table(table: CountTable) -> str:
     lines = [f"#rows={table.dims[0]} cols={table.dims[1]}"]
     lines += [",".join(str(int(v)) for v in row) for row in table.counts]
     return "\n".join(lines) + "\n"
-
-
-def write_count_table(table: CountTable, path) -> None:
-    write_text(path, render_count_table(table))
 
 
 def _float_token(token: str, source: str, line_no: int) -> float:
@@ -213,10 +215,9 @@ def parse_marginal_text(
     line_no, content = data[0]
     tokens = [t.strip() for t in content.split(",")]
     if all(_INT_RE.match(tok) for tok in tokens):
-        counts = np.array([int(tok) for tok in tokens], dtype=np.int64)
-        if (counts < 0).any():
-            raise ParseError(source, line_no, "counts must be >= 0")
-        total = int(counts.sum())
+        values = [_count_token(tok, source, line_no) for tok in tokens]
+        counts = np.array(values, dtype=np.int64)
+        total = sum(values)
         if total == 0:
             raise ParseError(source, line_no, "counts sum to zero")
         probs = counts / total

@@ -8,13 +8,19 @@ adjustment removed, next to the analytic large-sample value.
 
 Reproducibility scheme
 ----------------------
-Replications run in fixed blocks of ``CHUNK_REPLICATIONS``. The generator
+Each grid cell runs through :func:`replicate_marginal_estimates`, which
+draws replications in fixed blocks of ``CHUNK_REPLICATIONS``. The generator
 for block c of grid cell k is Philox keyed by
 ``SeedSequence(entropy=seed, spawn_key=(k, c))``; a replication's stream
 therefore depends only on the master seed and its own indices, never on
 scheduling. Per-replication estimates land in index-addressed arrays and
 are aggregated in a fixed order, so serial and parallel runs of the same
-configuration are bit-identical.
+configuration are bit-identical. ``run_experiment``'s ``workers`` threads
+parallelise over grid cells, never within one.
+
+:func:`replicate_weighted_frequencies` draws blocks of at most ~4e6
+category draws (``4_000_000 // n`` replications of n observations); block
+c is keyed by ``spawn_key=(c,)``.
 """
 
 from __future__ import annotations
@@ -81,6 +87,16 @@ def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     )
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; bools and numbers with a fractional part are refused
+    rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for :func:`run_experiment`.
@@ -98,27 +114,31 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("row_marginal", "col_marginal"):
+        for name, axis in (("row_marginal", "row"), ("col_marginal", "column")):
             pair = tuple(float(x) for x in getattr(self, name))
             if len(pair) != 2 or not all(0.0 < x < 1.0 for x in pair):
                 raise ValueError(f"{name} must be two probabilities strictly inside (0, 1)")
-            if abs(sum(pair) - 1.0) > 1e-12:
-                raise ValueError(f"{name} must sum to 1")
+            try:
+                MarginalDistribution(pair, axis=axis)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             object.__setattr__(self, name, pair)
         log_grid = tuple(float(x) for x in self.log_cpr_grid)
         if not log_grid or not all(math.isfinite(x) for x in log_grid):
             raise ValueError("log_cpr_grid must be non-empty and finite")
         object.__setattr__(self, "log_cpr_grid", log_grid)
-        n_grid = tuple(int(n) for n in self.n_grid)
+        n_grid = tuple(_integer(n, "each n_grid entry") for n in self.n_grid)
         if not n_grid or any(n < 1 for n in n_grid):
             raise ValueError("n_grid must be non-empty with entries >= 1")
         object.__setattr__(self, "n_grid", n_grid)
-        if int(self.replications) < 2:
+        replications = _integer(self.replications, "replications")
+        if replications < 2:
             raise ValueError("replications must be >= 2")
-        object.__setattr__(self, "replications", int(self.replications))
-        if not 0 <= int(self.seed) < 2**64:
+        object.__setattr__(self, "replications", replications)
+        seed = _integer(self.seed, "seed")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     def with_overrides(self, seed: int | None = None, replications: int | None = None):
         updates = {}
@@ -227,12 +247,13 @@ def _chunk_estimates(
     return phat, ptilde, excluded
 
 
-def _chunk_bounds(replications: int) -> list[tuple[int, int, int]]:
-    """(chunk index, start, size) triples covering all replications."""
-    bounds = []
-    for c, start in enumerate(range(0, replications, CHUNK_REPLICATIONS)):
-        bounds.append((c, start, min(CHUNK_REPLICATIONS, replications - start)))
-    return bounds
+def _chunk_bounds(replications: int, block: int) -> list[tuple[int, int, int]]:
+    """(chunk index, start, size) triples covering all replications in
+    blocks of at most ``block``."""
+    return [
+        (c, start, min(block, replications - start))
+        for c, start in enumerate(range(0, replications, block))
+    ]
 
 
 def replicate_marginal_estimates(
@@ -261,7 +282,7 @@ def replicate_marginal_estimates(
     phat = np.empty((replications, p.n_rows))
     ptilde = np.empty((replications, p.n_rows))
     excluded = np.empty(replications, dtype=bool)
-    for c, start, size in _chunk_bounds(replications):
+    for c, start, size in _chunk_bounds(replications, CHUNK_REPLICATIONS):
         rng = _stream(seed, (*stream_key, c))
         ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng)
         phat[start : start + size] = ph
@@ -282,11 +303,9 @@ def replicate_weighted_frequencies(
     forms sum_t w_t * 1{x_t == i}. Used to check the slower convergence rate
     of non-uniformly weighted estimates.
     """
-    if isinstance(probs, MarginalDistribution):
-        probs = probs.probs
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or abs(float(probs.sum()) - 1.0) > 1e-12 or (probs < 0).any():
-        raise ValueError("probs must be a probability vector")
+    if not isinstance(probs, MarginalDistribution):
+        probs = MarginalDistribution(probs, axis="row")
+    probs = probs.probs
     if replications < 1:
         raise ValueError("replications must be >= 1")
     n = len(weights)
@@ -296,15 +315,12 @@ def replicate_weighted_frequencies(
     # Fixed blocking policy: at most ~4e6 category draws per block.
     block = max(1, 4_000_000 // n)
     out = np.empty((replications, n_categories))
-    chunk_index = 0
-    for start in range(0, replications, block):
-        size = min(block, replications - start)
-        rng = _stream(seed, (chunk_index,))
+    for c, start, size in _chunk_bounds(replications, block):
+        rng = _stream(seed, (c,))
         draws = rng.random((size, n))
         xs = np.searchsorted(edges, draws, side="right")
         for i in range(n_categories):
             out[start : start + size, i] = (xs == i).astype(np.float64) @ weights.weights
-        chunk_index += 1
     return out
 
 
@@ -375,10 +391,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
     """Run the full (n, log cpr) grid of ``cfg``.
 
     Infeasible grid points (e.g. a cpr too extreme for the marginals in
-    double precision) become error cells and the run continues. Work is
-    split into (cell, replication-block) tasks; any ``workers`` setting
-    produces bit-identical results because every block's stream and every
-    aggregation order is fixed by indices alone.
+    double precision) become error cells and the run continues. Grid cell k
+    draws its replications through :func:`replicate_marginal_estimates`
+    with stream key ``(k,)``; ``workers`` threads share out whole cells and
+    any setting produces bit-identical results, because every block's
+    stream and every aggregation order is fixed by indices alone.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -387,77 +404,34 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
     target = cfg.row_marginal[0]
     points = [(n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid]
 
-    tables: list[JointDistribution | None] = []
-    build_errors: list[str | None] = []
-    asym_pcts: list[float | None] = []
-    for n, lc in points:
+    def run_cell(k: int) -> GridCell:
+        n, lc = points[k]
         try:
             table = build_2x2_from_marginals_cpr(row, col, math.exp(lc))
-            tables.append(table)
-            asym_pcts.append(100.0 * asymptotic_reduction(table, 0))
-            build_errors.append(None)
+            asym_pct = 100.0 * asymptotic_reduction(table, 0)
         except (ValueError, OverflowError) as exc:
-            tables.append(None)
-            asym_pcts.append(None)
-            build_errors.append(str(exc))
-
-    reps = cfg.replications
-    phat_store = {k: np.empty(reps) for k, t in enumerate(tables) if t is not None}
-    ptilde_store = {k: np.empty(reps) for k in phat_store}
-    excluded_store = {k: np.empty(reps, dtype=bool) for k in phat_store}
-
-    tasks = [
-        (k, c, start, size)
-        for k in phat_store
-        for c, start, size in _chunk_bounds(reps)
-    ]
-
-    def run_task(task: tuple[int, int, int, int]) -> None:
-        k, c, start, size = task
-        table = tables[k]
-        n = points[k][0]
-        rng = _stream(cfg.seed, (k, c))
-        ph, pt, ex = _chunk_estimates(
-            table.cells.ravel(order="C"), col.probs, table.dims, n, size, rng
+            return GridCell(
+                n=n,
+                log_cpr=lc,
+                reduction_pct=None,
+                asymptotic_pct=None,
+                bias_hat=None,
+                bias_tilde=None,
+                zero_column_events=None,
+                error=str(exc),
+            )
+        reps = replicate_marginal_estimates(
+            table, col, n, cfg.replications, cfg.seed, stream_key=(k,)
         )
-        phat_store[k][start : start + size] = ph[:, 0]
-        ptilde_store[k][start : start + size] = pt[:, 0]
-        excluded_store[k][start : start + size] = ex
+        return _aggregate_cell(
+            n, lc, asym_pct, target, reps.phat_rows[:, 0], reps.ptilde_rows[:, 0], reps.excluded
+        )
 
     if workers == 1:
-        for task in tasks:
-            run_task(task)
+        cells = [run_cell(k) for k in range(len(points))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_task, tasks))
-
-    cells = []
-    for k, (n, lc) in enumerate(points):
-        if build_errors[k] is not None:
-            cells.append(
-                GridCell(
-                    n=n,
-                    log_cpr=lc,
-                    reduction_pct=None,
-                    asymptotic_pct=None,
-                    bias_hat=None,
-                    bias_tilde=None,
-                    zero_column_events=None,
-                    error=build_errors[k],
-                )
-            )
-        else:
-            cells.append(
-                _aggregate_cell(
-                    n,
-                    lc,
-                    asym_pcts[k],
-                    target,
-                    phat_store[k],
-                    ptilde_store[k],
-                    excluded_store[k],
-                )
-            )
+            cells = list(pool.map(run_cell, range(len(points))))
     return ExperimentGrid(cells=tuple(cells))
 
 

@@ -32,6 +32,8 @@ __all__ = [
 # Absolute tolerance for "sums to one" checks on probability inputs.
 PROB_TOL = 1e-12
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 Axis = Literal["row", "column"]
 
 
@@ -132,9 +134,13 @@ class CountTable:
         counts = np.array(counts, dtype=np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be >= 0")
+        # Summed as Python ints: an int64 sum would wrap silently.
+        total = sum(counts.ravel().tolist())
+        if total > INT64_MAX:
+            raise ValueError(f"count total {total} exceeds the int64 range")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(counts.sum()))
+        object.__setattr__(self, "total", total)
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -260,3 +261,75 @@ class TestExitCodes:
         code, _, err = run(capsys, "estimate", "--counts", str(empty))
         assert code == 3
         assert "no observations" in err
+
+
+class TestSimulateOutputPinned:
+    # sha256 of the stdout of `margfit simulate --config caseX.json` at the
+    # bundled seed and replications: any change to the streams, the blocking
+    # or the aggregation order shows up here.
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("I", "99eeafa9772157646db5e07be6e88a1ddfb077dfc86900ef27a31a2add6d8c0b"),
+            ("II", "b8293faf68fa9b48a675973809de509659a8515a2dd3b79e4b70b1acabe0bc75"),
+            ("III", "fdde69c72ba1936c9d935318e8f38bfbe70676e137db9c5106da38a883d9d8f4"),
+        ],
+    )
+    def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "simulate", "--config", f"case{case}.json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestRejectedInputExitCodes:
+    def test_count_beyond_int64_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "big.csv"
+        write_text(bad, "#rows=1 cols=2\n9223372036854775808,1\n")
+        code, out, err = run(capsys, "estimate", "--counts", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and "big.csv:2:" in err and "int64" in err
+
+    def test_count_total_beyond_int64_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "big.csv"
+        write_text(bad, "#rows=1 cols=2\n9223372036854775807,1\n")
+        code, _, err = run(capsys, "estimate", "--counts", str(bad))
+        assert code == 2
+        assert "total" in err and "int64" in err
+
+    def test_non_finite_ipf_tol_is_contract_error(self, capsys, counts_file, tmp_path):
+        rows = tmp_path / "rows.csv"
+        write_text(rows, "0.5,0.5\n")
+        for tol in ("nan", "inf"):
+            code, out, err = run(
+                capsys, "ipf", "--counts", counts_file,
+                "--row-marginal", str(rows), "--col-marginal", str(rows), "--tol", tol,
+            )
+            assert code == 3 and out == ""
+            assert "tol" in err
+
+    def test_truncating_config_is_parse_error(self, capsys, tmp_path):
+        for field, value in (("n_grid", [20.7]), ("replications", 2.9), ("seed", True)):
+            cfg = {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5], field: value}
+            path = tmp_path / "cfg.json"
+            write_text(path, json.dumps(cfg))
+            code, _, err = run(capsys, "simulate", "--config", str(path))
+            assert code == 2
+            assert err.startswith("parse error:") and field in err
+
+    def test_allocation_failure_is_contract_error(self, capsys, tmp_path):
+        # 10**16 replications ask for ~142 PiB, beyond any address space, so
+        # numpy refuses the allocation at once.
+        path = tmp_path / "cfg.json"
+        write_text(
+            path,
+            json.dumps(
+                {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5],
+                 "log_cpr_grid": [0.0], "n_grid": [20]}
+            ),
+        )
+        code, out, err = run(
+            capsys, "simulate", "--config", str(path), "--replications", str(10**16)
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

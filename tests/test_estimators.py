@@ -264,3 +264,11 @@ class TestIpf:
         table = JointDistribution(np.full((2, 2), 0.25))
         with pytest.raises(ValueError, match="strictly positive"):
             ipf_fit(table, marg([1.0, 0.0], "row"), marg([0.5, 0.5]))
+
+
+class TestIpfTolerance:
+    def test_non_finite_tol_rejected(self):
+        table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=tol)

@@ -270,3 +270,17 @@ class TestExperimentConfigFile:
         write_text(path, json.dumps({"row_marginal": [0.5, 0.5]}))
         with pytest.raises(ParseError, match="missing"):
             read_experiment_config(path)
+
+
+class TestInt64Range:
+    def test_count_beyond_int64_reports_line(self):
+        with pytest.raises(ParseError, match=r"f\.csv:3: count 9223372036854775808 exceeds"):
+            parse_count_table_text("#rows=2 cols=1\n4\n9223372036854775808\n", "f.csv")
+
+    def test_count_total_beyond_int64_rejected(self):
+        with pytest.raises(ParseError, match="total .* exceeds the int64 range"):
+            parse_count_table_text("#rows=1 cols=2\n9223372036854775807,1\n")
+
+    def test_marginal_count_beyond_int64_reports_line(self):
+        with pytest.raises(ParseError, match=r"m\.csv:2: count .* exceeds the int64 range"):
+            parse_marginal_text("# counts\n9223372036854775808,1\n", "m.csv")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -284,3 +285,35 @@ class TestCaseStudy:
         counts = CountTable(np.array([[2, 2], [0, 0]]))
         result = run_case_study(counts, marg([0.5, 0.5]))
         assert result.rows[1].relative_difference_pct is None
+
+
+class TestExperimentConfigRefusesTruncation:
+    def test_fractional_n_grid_rejected(self):
+        with pytest.raises(ValueError, match="n_grid"):
+            small_config(n_grid=(20.7,))
+        assert small_config(n_grid=(20.0,)).n_grid == (20,)
+
+    def test_fractional_replications_rejected(self):
+        with pytest.raises(ValueError, match="replications"):
+            small_config(replications=2.9)
+
+    def test_bool_or_fractional_seed_rejected(self):
+        for seed in (True, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                small_config(seed=seed)
+
+
+class TestWeightedFrequencyBlocksPinned:
+    def test_output_digest(self):
+        # 1000 observations make blocks of 4_000_000 // 1000 = 4000
+        # replications, so 9000 replications span two full blocks and a
+        # partial one, each drawn from the stream keyed (block index,).
+        ramp = np.arange(1, 1001, dtype=float)
+        weights = WeightVector(ramp / ramp.sum())
+        expected = {
+            (0.3, 0.7): "245bb9396b638164d270a32604b67181864630f085872afea2c188dc5e8f5673",
+            (0.2, 0.5, 0.3): "1003803722a413a0123d0b4ec063dff676ac4f833f49748b0809b0f134520642",
+        }
+        for probs, digest in expected.items():
+            out = replicate_weighted_frequencies(list(probs), weights, 9000, seed=6)
+            assert hashlib.sha256(out.tobytes()).hexdigest() == digest
