@@ -20,7 +20,12 @@ parallelise over grid cells, never within one.
 
 :func:`replicate_weighted_frequencies` draws blocks of at most ~4e6
 category draws (``4_000_000 // n`` replications of n observations); block
-c is keyed by ``spawn_key=(c,)``.
+c is keyed by ``spawn_key=(c,)``. A uniform draw u in [0, 1) falls in
+category x = #{edges <= u}, with ``edges = cumsum(probs)`` and ``edges[-1]``
+clamped to 1. This is the rule of ``np.searchsorted(edges, u, side="right")``;
+the kernel applies it with one threshold compare per edge into buffers
+reused across blocks, and its output bits equal those of the searchsorted
+form, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -97,6 +102,22 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value) -> int:
+    """``value`` as a master seed: an integer in [0, 2**64)."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are refused
+    rather than converted."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for :func:`run_experiment`.
@@ -115,7 +136,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, axis in (("row_marginal", "row"), ("col_marginal", "column")):
-            pair = tuple(float(x) for x in getattr(self, name))
+            pair = tuple(_real(x, f"each {name} entry") for x in getattr(self, name))
             if len(pair) != 2 or not all(0.0 < x < 1.0 for x in pair):
                 raise ValueError(f"{name} must be two probabilities strictly inside (0, 1)")
             try:
@@ -123,7 +144,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
             object.__setattr__(self, name, pair)
-        log_grid = tuple(float(x) for x in self.log_cpr_grid)
+        log_grid = tuple(_real(x, "each log_cpr_grid entry") for x in self.log_cpr_grid)
         if not log_grid or not all(math.isfinite(x) for x in log_grid):
             raise ValueError("log_cpr_grid must be non-empty and finite")
         object.__setattr__(self, "log_cpr_grid", log_grid)
@@ -135,10 +156,7 @@ class ExperimentConfig:
         if replications < 2:
             raise ValueError("replications must be >= 2")
         object.__setattr__(self, "replications", replications)
-        seed = _integer(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def with_overrides(self, seed: int | None = None, replications: int | None = None):
         updates = {}
@@ -179,6 +197,8 @@ class ExperimentConfig:
         kwargs = {k: v for k, v in data.items() if k in known}
         for key in ("row_marginal", "col_marginal", "log_cpr_grid", "n_grid"):
             if key in kwargs:
+                if not isinstance(kwargs[key], list):
+                    raise ValueError(f"{key} must be a JSON array, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -271,10 +291,13 @@ def replicate_marginal_estimates(
     this routine in a larger deterministic experiment (the grid runner
     passes its cell index).
     """
+    n = _integer(n, "sample size")
     if n < 1:
         raise ValueError("sample size must be >= 1")
+    replications = _integer(replications, "replications")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    seed = _seed(seed)
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
         raise ValueError("known marginal length must match the number of columns")
@@ -306,21 +329,36 @@ def replicate_weighted_frequencies(
     if not isinstance(probs, MarginalDistribution):
         probs = MarginalDistribution(probs, axis="row")
     probs = probs.probs
+    replications = _integer(replications, "replications")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    seed = _seed(seed)
     n = len(weights)
     n_categories = probs.shape[0]
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard the last edge against rounding
     # Fixed blocking policy: at most ~4e6 category draws per block.
     block = max(1, 4_000_000 // n)
+    rows = min(block, replications)
+    draws = np.empty((rows, n))
+    below = np.empty((rows, n), dtype=bool)
+    below_prev = np.empty((rows, n), dtype=bool)
+    member = np.empty((rows, n))
     out = np.empty((replications, n_categories))
     for c, start, size in _chunk_bounds(replications, block):
         rng = _stream(seed, (c,))
-        draws = rng.random((size, n))
-        xs = np.searchsorted(edges, draws, side="right")
+        u = rng.random(out=draws[:size])
+        below_prev[:size] = False
         for i in range(n_categories):
-            out[start : start + size, i] = (xs == i).astype(np.float64) @ weights.weights
+            # edges[:-1] never decrease and every u < 1.0 = edges[-1], so
+            # "u < edges[i]" switches on at most once as i grows: x == i
+            # exactly where below is set and below_prev is not. The float64
+            # member keeps the weighted sum a BLAS product on a C-contiguous
+            # 0/1 matrix, which the pinned output bits depend on.
+            np.less(u, edges[i], out=below[:size])
+            np.greater(below[:size], below_prev[:size], out=member[:size])
+            out[start : start + size, i] = member[:size] @ weights.weights
+            below, below_prev = below_prev, below
     return out
 
 

@@ -333,3 +333,30 @@ class TestRejectedInputExitCodes:
         )
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestConfigFieldTypesExitCodes:
+    def write_config(self, tmp_path, **fields):
+        cfg = {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5], **fields}
+        path = tmp_path / "cfg.json"
+        write_text(path, json.dumps(cfg))
+        return str(path)
+
+    def test_non_array_sequence_is_parse_error(self, capsys, tmp_path):
+        for field, value in (("n_grid", 5), ("log_cpr_grid", "12")):
+            path = self.write_config(tmp_path, **{field: value})
+            code, out, err = run(capsys, "simulate", "--config", path)
+            assert code == 2 and out == ""
+            assert err.startswith("parse error:") and field in err
+            assert err.count("\n") == 1
+
+    def test_string_entries_are_parse_error(self, capsys, tmp_path):
+        for field, value in (
+            ("row_marginal", ["0.5", "0.5"]),
+            ("col_marginal", [0.5, "0.5"]),
+            ("log_cpr_grid", ["0.0"]),
+        ):
+            path = self.write_config(tmp_path, **{field: value})
+            code, out, err = run(capsys, "simulate", "--config", path)
+            assert code == 2 and out == ""
+            assert err.startswith("parse error:") and field in err

@@ -23,7 +23,7 @@ from margfit import (
     run_experiment,
 )
 from margfit.io import load_destatis2014, load_gidas_table3
-from margfit.tables import CountTable, empirical_joint, row_marginal
+from margfit.tables import PROB_TOL, CountTable, empirical_joint, row_marginal
 
 SYMMETRIC_2X2 = JointDistribution([[0.375, 0.125], [0.125, 0.375]])
 
@@ -317,3 +317,128 @@ class TestWeightedFrequencyBlocksPinned:
         for probs, digest in expected.items():
             out = replicate_weighted_frequencies(list(probs), weights, 9000, seed=6)
             assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def searchsorted_weighted_frequencies(probs, weights, replications, seed):
+    """Reference for :func:`replicate_weighted_frequencies`: the same blocks
+    and streams, with categories found by ``np.searchsorted``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    w = weights.weights
+    n = w.shape[0]
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0
+    block = max(1, 4_000_000 // n)
+    out = np.empty((replications, probs.shape[0]))
+    for c, start in enumerate(range(0, replications, block)):
+        size = min(block, replications - start)
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(c,))
+        draws = np.random.Generator(np.random.Philox(seq)).random((size, n))
+        xs = np.searchsorted(edges, draws, side="right")
+        for i in range(probs.shape[0]):
+            out[start : start + size, i] = (xs == i).astype(np.float64) @ w
+    return out
+
+
+def random_weights(rng, n):
+    raw = rng.random(n) + 0.01
+    return WeightVector(raw / raw.sum())
+
+
+class TestWeightedKernelMatchesSearchsorted:
+    def test_random_marginals_with_zero_categories(self):
+        rng = np.random.default_rng(2024)
+        for case in range(24):
+            k = int(rng.integers(2, 10))
+            probs = rng.dirichlet(np.ones(k))
+            if case % 2:
+                # zero out up to k - 1 categories, never all of them
+                zeros = rng.choice(k, size=int(rng.integers(1, k)), replace=False)
+                probs[zeros] = 0.0
+                probs /= probs.sum()
+            n = int(rng.choice([1, 2, 7, 31, 300]))
+            weights = random_weights(rng, n)
+            reps = int(rng.integers(1, 60))
+            seed = int(rng.integers(0, 2**63))
+            got = replicate_weighted_frequencies(probs, weights, reps, seed)
+            want = searchsorted_weighted_frequencies(probs, weights, reps, seed)
+            assert np.array_equal(got, want), (case, probs, n, reps)
+
+    def test_sum_above_one_puts_an_edge_beyond_the_clamped_last(self):
+        # Sums of 1 + PROB_TOL/2 are accepted; the second-to-last cumulative
+        # edge then exceeds the last, which is clamped to exactly 1.
+        half_tol = PROB_TOL / 2
+        rng = np.random.default_rng(5)
+        for probs in ([0.5, 0.5 + half_tol, 0.0], [0.3, 0.7 + half_tol - 1e-13, 1e-13]):
+            edges = np.cumsum(probs)
+            assert edges[-2] > 1.0
+            for n in (1, 64, 257):
+                weights = random_weights(rng, n)
+                got = replicate_weighted_frequencies(probs, weights, 40, seed=n)
+                want = searchsorted_weighted_frequencies(probs, weights, 40, seed=n)
+                assert np.array_equal(got, want)
+
+    def test_several_blocks_with_a_partial_last_block(self):
+        # 3000 observations make blocks of 1333 replications: 3000
+        # replications are two full blocks and one of 334.
+        weights = random_weights(np.random.default_rng(8), 3000)
+        probs = [0.1, 0.0, 0.25, 0.4, 0.25]
+        got = replicate_weighted_frequencies(probs, weights, 3000, seed=31)
+        want = searchsorted_weighted_frequencies(probs, weights, 3000, seed=31)
+        assert np.array_equal(got, want)
+
+
+class TestReplicationArgumentsRefused:
+    def test_weighted_replications_and_seed(self):
+        weights = WeightVector.uniform(8)
+        for reps in (True, 2.5, "4"):
+            with pytest.raises(ValueError, match="replications"):
+                replicate_weighted_frequencies([0.5, 0.5], weights, reps, 1)
+        for seed in (1.5, True, -1, 2**64, "3"):
+            with pytest.raises(ValueError, match="seed"):
+                replicate_weighted_frequencies([0.5, 0.5], weights, 4, seed)
+        assert np.array_equal(
+            replicate_weighted_frequencies([0.5, 0.5], weights, 4.0, np.uint64(3)),
+            replicate_weighted_frequencies([0.5, 0.5], weights, 4, 3),
+        )
+
+    def test_marginal_estimates_n_replications_and_seed(self):
+        col = marg([0.5, 0.5])
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="sample size"):
+                replicate_marginal_estimates(SYMMETRIC_2X2, col, n, 4, 1)
+        for reps in (True, 2.5):
+            with pytest.raises(ValueError, match="replications"):
+                replicate_marginal_estimates(SYMMETRIC_2X2, col, 10, reps, 1)
+        for seed in (1.5, False, -1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                replicate_marginal_estimates(SYMMETRIC_2X2, col, 10, 4, seed)
+
+
+class TestExperimentConfigRefusesNonNumbers:
+    def test_sequence_fields_must_be_arrays(self):
+        base = {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5]}
+        for field_name, value in (
+            ("n_grid", 5),
+            ("log_cpr_grid", "12"),
+            ("row_marginal", "0.5,0.5"),
+            ("col_marginal", {"a": 0.5}),
+        ):
+            with pytest.raises(ValueError, match=field_name):
+                ExperimentConfig.from_dict({**base, field_name: value})
+
+    def test_row_marginal_entries_must_be_numbers(self):
+        for value in (("0.5", "0.5"), (True, 0.5)):
+            with pytest.raises(ValueError, match="row_marginal"):
+                small_config(row_marginal=value)
+
+    def test_col_marginal_entries_must_be_numbers(self):
+        for value in (("0.3", "0.7"), (0.5, None)):
+            with pytest.raises(ValueError, match="col_marginal"):
+                small_config(col_marginal=value)
+
+    def test_log_cpr_grid_entries_must_be_numbers(self):
+        for value in (("1", "2"), (0.0, False)):
+            with pytest.raises(ValueError, match="log_cpr_grid"):
+                small_config(log_cpr_grid=value)
+        cfg = small_config(log_cpr_grid=(np.float32(0.5), np.int64(1), 2))
+        assert cfg.log_cpr_grid == (0.5, 1.0, 2.0)
