@@ -56,92 +56,51 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _load_table(args) -> "JointDistribution":
     """A probability table from --table, or normalized counts from --counts."""
-    if getattr(args, "table", None) and getattr(args, "counts", None):
+    if args.table and args.counts:
         raise UsageError("pass exactly one of --table and --counts")
-    if getattr(args, "table", None):
+    if args.table:
         return read_joint_table(args.table)
-    if getattr(args, "counts", None):
+    if args.counts:
         return empirical_joint(read_count_table(args.counts))
     raise UsageError("one of --table or --counts is required")
 
 
-def _cmd_estimate(args) -> str:
-    counts = read_count_table(args.counts)
-    joint = empirical_joint(counts)
-    rows = row_marginal(joint)
-    cols = column_marginal(joint)
-    if args.format == "json":
-        return _json_text(
-            {
-                "joint": joint.cells.tolist(),
-                "row_marginal": rows.probs.tolist(),
-                "column_marginal": cols.probs.tolist(),
-            }
-        )
-    return render_sections(
-        {"joint": joint.cells, "row_marginal": rows.probs, "column_marginal": cols.probs}
-    )
+def _cmd_estimate(args) -> dict:
+    joint = empirical_joint(read_count_table(args.counts))
+    return {
+        "joint": joint.cells,
+        "row_marginal": row_marginal(joint).probs,
+        "column_marginal": column_marginal(joint).probs,
+    }
 
 
-def _cmd_adjust(args) -> str:
+def _cmd_adjust(args) -> dict:
     phat = _load_table(args)
     marginal = read_marginal(args.marginal, axis="column").marginal
     adjusted = adjust_to_known_marginal(phat, marginal)
-    row_estimates = adjusted_row_marginal(adjusted)
-    mask = np.array(sorted(adjusted.zero_column_mask), dtype=np.int64)
-    if args.format == "json":
-        return _json_text(
-            {
-                "adjusted_cells": adjusted.cells.tolist(),
-                "known_column_marginal": marginal.probs.tolist(),
-                "adjusted_row_marginal": row_estimates.tolist(),
-                "zero_columns": mask.tolist(),
-            }
-        )
-    return render_sections(
-        {
-            "adjusted_cells": adjusted.cells,
-            "known_column_marginal": marginal.probs,
-            "adjusted_row_marginal": row_estimates,
-            "zero_columns": mask,
-        }
-    )
+    return {
+        "adjusted_cells": adjusted.cells,
+        "known_column_marginal": marginal.probs,
+        "adjusted_row_marginal": adjusted_row_marginal(adjusted),
+        "zero_columns": np.array(sorted(adjusted.zero_column_mask), dtype=np.int64),
+    }
 
 
-def _cmd_asymptotics(args) -> str:
+def _cmd_asymptotics(args) -> dict:
     table = _load_table(args)
     plain = marginal_covariance(table).entries
     adjusted = adjusted_marginal_covariance(table).entries
-    gap = plain - adjusted
-    chi2 = chi2_reduction_bound(table)
-    reductions = np.array(
-        [100.0 * asymptotic_reduction(table, i) for i in range(table.n_rows)]
-    )
-    if args.format == "json":
-        return _json_text(
-            {
-                "plain_covariance": plain.tolist(),
-                "adjusted_covariance": adjusted.tolist(),
-                "variance_gap": gap.tolist(),
-                "chi2_bound": chi2,
-                "asymptotic_reduction_pct": reductions.tolist(),
-            }
-        )
-    return render_sections(
-        {
-            "plain_covariance": plain,
-            "adjusted_covariance": adjusted,
-            "variance_gap": gap,
-            "chi2_bound": np.array([[chi2]]),
-            "asymptotic_reduction_pct": reductions,
-        }
-    )
+    return {
+        "plain_covariance": plain,
+        "adjusted_covariance": adjusted,
+        "variance_gap": plain - adjusted,
+        "chi2_bound": chi2_reduction_bound(table),
+        "asymptotic_reduction_pct": np.array(
+            [100.0 * asymptotic_reduction(table, i) for i in range(table.n_rows)]
+        ),
+    }
 
 
 def _load_config(path_str: str):
@@ -151,49 +110,48 @@ def _load_config(path_str: str):
     return read_experiment_config(path)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> tuple:
     cfg = _load_config(args.config).with_overrides(
         seed=args.seed, replications=args.replications
     )
-    grid = run_experiment(cfg)
-    if args.format == "json":
-        return _json_text(grid_to_json_dict(grid, config=cfg))
-    return render_grid_csv(grid)
+    return run_experiment(cfg), render_grid_csv, lambda g: grid_to_json_dict(g, config=cfg)
 
 
-def _cmd_case_study(args) -> str:
+def _cmd_case_study(args) -> tuple:
     counts = read_count_table(args.counts) if args.counts else load_gidas_table3()
     marginal = (
         read_marginal(args.marginal, axis="column").marginal
         if args.marginal
         else load_destatis2014()
     )
-    result = run_case_study(counts, marginal)
-    if args.format == "json":
-        return _json_text(case_study_to_json_dict(result))
-    return render_case_study_csv(result)
+    return run_case_study(counts, marginal), render_case_study_csv, case_study_to_json_dict
 
 
-def _cmd_ipf(args) -> str:
+def _cmd_ipf(args) -> dict:
     init = _load_table(args)
     row_target = read_marginal(args.row_marginal, axis="row").marginal
     col_target = read_marginal(args.col_marginal, axis="column").marginal
     result = ipf_fit(init, row_target, col_target, tol=args.tol, max_iter=args.max_iter)
+    return {
+        "fitted": result.table.cells,
+        "iterations": result.iterations,
+        "converged": result.converged,
+    }
+
+
+def _sections_to_json(sections: dict) -> dict:
+    return {name: np.asarray(values).tolist() for name, values in sections.items()}
+
+
+def _render(args, output) -> str:
+    """Apply --format to a handler's output: a dict of named sections (arrays
+    or scalars), or a (result, csv renderer, json converter) triple."""
+    if isinstance(output, dict):
+        output = (output, render_sections, _sections_to_json)
+    result, to_csv, to_json = output
     if args.format == "json":
-        return _json_text(
-            {
-                "fitted": result.table.cells.tolist(),
-                "iterations": result.iterations,
-                "converged": result.converged,
-            }
-        )
-    return render_sections(
-        {
-            "fitted": result.table.cells,
-            "iterations": np.array([[result.iterations]], dtype=np.int64),
-            "converged": np.array([[int(result.converged)]], dtype=np.int64),
-        }
-    )
+        return json.dumps(to_json(result), indent=2) + "\n"
+    return to_csv(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +226,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        text = args.handler(args)
+        text = _render(args, args.handler(args))
         if args.out:
             write_text(args.out, text)
         else:

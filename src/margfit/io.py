@@ -11,7 +11,8 @@ emitted file re-parses to the exact in-memory value. Formats:
 * marginal: a single data line, either probabilities summing to 1 or
   nonnegative integer counts (auto-normalized; the mode is recorded).
 * sectioned report: repeated ``#section=<name> rows=<r> cols=<c> kind=...``
-  blocks, used for the estimate/adjust/asymptotics/ipf outputs.
+  blocks, used for the estimate/adjust/asymptotics/ipf outputs. Scalars are
+  1x1 sections, vectors one row; bool values are ``kind=int`` (0/1).
 * experiment grid: one CSV row per grid cell; the trailing ``error`` column
   is empty for cells that computed cleanly.
 * case study: percentage columns rounded to 4 significant digits next to
@@ -81,6 +82,15 @@ class ParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; other bytes are a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ParseError(str(path), 1, message) from None
 
 
 def write_text(path, text: str) -> None:
@@ -157,7 +167,7 @@ def parse_count_table_text(text: str, source: str = "<string>") -> CountTable:
 
 
 def read_count_table(path) -> CountTable:
-    return parse_count_table_text(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_count_table_text(_read_text(path), str(path))
 
 
 def render_count_table(table: CountTable) -> str:
@@ -186,7 +196,7 @@ def parse_joint_table_text(text: str, source: str = "<string>") -> JointDistribu
 
 
 def read_joint_table(path) -> JointDistribution:
-    return parse_joint_table_text(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_joint_table_text(_read_text(path), str(path))
 
 
 def render_joint_table(table: JointDistribution) -> str:
@@ -235,7 +245,7 @@ def parse_marginal_text(
 
 
 def read_marginal(path, axis: Axis = "column") -> ParsedMarginal:
-    return parse_marginal_text(Path(path).read_text(encoding="utf-8"), str(path), axis)
+    return parse_marginal_text(_read_text(path), str(path), axis)
 
 
 def render_marginal(marginal: MarginalDistribution) -> str:
@@ -258,7 +268,8 @@ def render_sections(sections: dict[str, np.ndarray]) -> str:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        kind = "int" if np.issubdtype(arr.dtype, np.integer) else "float"
+        integral = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
+        kind = "int" if integral else "float"
         out.append(f"#section={name} rows={arr.shape[0]} cols={arr.shape[1]} kind={kind}")
         for row in arr:
             if kind == "int":
@@ -350,16 +361,24 @@ def render_grid_csv(grid: ExperimentGrid) -> str:
     return buf.getvalue()
 
 
-def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
+def _csv_records(text: str, source: str, first_line: int) -> list[list[str]]:
+    """The CSV records of ``text``, which starts at line ``first_line`` of
+    ``source``; text the csv module cannot split is a parse error."""
     reader = csv.reader(_io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(source, 1, "empty grid file") from None
-    if tuple(header) != GRID_COLUMNS:
-        raise ParseError(source, 1, f"unexpected grid header {header!r}")
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(source, first_line + reader.line_num - 1, str(exc)) from None
+
+
+def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
+    records = _csv_records(text, source, 1)
+    if not records:
+        raise ParseError(source, 1, "empty grid file")
+    if tuple(records[0]) != GRID_COLUMNS:
+        raise ParseError(source, 1, f"unexpected grid header {records[0]!r}")
     cells = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(records[1:], start=2):
         if not row:
             continue
         if len(row) != len(GRID_COLUMNS):
@@ -466,16 +485,17 @@ def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyR
     if not lines or not lines[0].startswith("#zero_columns="):
         raise ParseError(source, 1, "expected a '#zero_columns=' line")
     mask_text = lines[0].split("=", 1)[1]
-    mask = frozenset(int(tok) for tok in mask_text.split(",") if tok.strip())
-    reader = csv.reader(_io.StringIO("\n".join(lines[1:])))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(source, 2, "missing case-study header") from None
-    if tuple(header) != CASE_STUDY_COLUMNS:
-        raise ParseError(source, 2, f"unexpected case-study header {header!r}")
+        mask = frozenset(int(tok) for tok in mask_text.split(",") if tok.strip())
+    except ValueError:
+        raise ParseError(source, 1, f"not a list of column indices: {mask_text!r}") from None
+    records = _csv_records("\n".join(lines[1:]), source, 2)
+    if not records:
+        raise ParseError(source, 2, "missing case-study header")
+    if tuple(records[0]) != CASE_STUDY_COLUMNS:
+        raise ParseError(source, 2, f"unexpected case-study header {records[0]!r}")
     rows = []
-    for line_no, row in enumerate(reader, start=3):
+    for line_no, row in enumerate(records[1:], start=3):
         if not row:
             continue
         if len(row) != len(CASE_STUDY_COLUMNS):
@@ -525,7 +545,7 @@ def case_study_from_json_dict(data: dict) -> CaseStudyResult:
 def read_experiment_config(path) -> ExperimentConfig:
     source = str(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(source, exc.lineno, exc.msg) from None
     try:

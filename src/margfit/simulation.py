@@ -43,6 +43,9 @@ from .tables import (
     CountTable,
     JointDistribution,
     MarginalDistribution,
+    _integer,
+    _real,
+    _seed,
     build_2x2_from_marginals_cpr,
     empirical_joint,
 )
@@ -90,32 +93,6 @@ def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; bools and numbers with a fractional part are refused
-    rather than truncated."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _seed(value) -> int:
-    """``value`` as a master seed: an integer in [0, 2**64)."""
-    seed = _integer(value, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float; bools, strings and other non-numbers are refused
-    rather than converted."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,11 +190,11 @@ class GridCell:
 
     n: int
     log_cpr: float
-    reduction_pct: float | None
-    asymptotic_pct: float | None
-    bias_hat: float | None
-    bias_tilde: float | None
-    zero_column_events: int | None
+    reduction_pct: float | None = None
+    asymptotic_pct: float | None = None
+    bias_hat: float | None = None
+    bias_tilde: float | None = None
+    zero_column_events: int | None = None
     error: str | None = None
 
 
@@ -316,7 +293,7 @@ def replicate_marginal_estimates(
 
 def replicate_weighted_frequencies(
     probs: Sequence[float] | MarginalDistribution,
-    weights: WeightVector,
+    weights: Sequence[float] | WeightVector,
     replications: int,
     seed: int,
 ) -> np.ndarray:
@@ -328,6 +305,8 @@ def replicate_weighted_frequencies(
     """
     if not isinstance(probs, MarginalDistribution):
         probs = MarginalDistribution(probs, axis="row")
+    if not isinstance(weights, WeightVector):
+        weights = WeightVector(weights)
     probs = probs.probs
     replications = _integer(replications, "replications")
     if replications < 1:
@@ -393,10 +372,7 @@ def _aggregate_cell(
         return GridCell(
             n=n,
             log_cpr=log_cpr,
-            reduction_pct=None,
             asymptotic_pct=asym_pct,
-            bias_hat=None,
-            bias_tilde=None,
             zero_column_events=events,
             error="fewer than 2 replications had all columns observed",
         )
@@ -406,10 +382,7 @@ def _aggregate_cell(
         return GridCell(
             n=n,
             log_cpr=log_cpr,
-            reduction_pct=None,
             asymptotic_pct=asym_pct,
-            bias_hat=None,
-            bias_tilde=None,
             zero_column_events=events,
             error="unadjusted estimator variance is zero",
         )
@@ -421,7 +394,6 @@ def _aggregate_cell(
         bias_hat=float(phat[included].mean() - target),
         bias_tilde=float(ptilde[included].mean() - target),
         zero_column_events=events,
-        error=None,
     )
 
 
@@ -448,16 +420,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
             table = build_2x2_from_marginals_cpr(row, col, math.exp(lc))
             asym_pct = 100.0 * asymptotic_reduction(table, 0)
         except (ValueError, OverflowError) as exc:
-            return GridCell(
-                n=n,
-                log_cpr=lc,
-                reduction_pct=None,
-                asymptotic_pct=None,
-                bias_hat=None,
-                bias_tilde=None,
-                zero_column_events=None,
-                error=str(exc),
-            )
+            return GridCell(n=n, log_cpr=lc, error=str(exc))
         reps = replicate_marginal_estimates(
             table, col, n, cfg.replications, cfg.seed, stream_key=(k,)
         )

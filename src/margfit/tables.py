@@ -37,6 +37,32 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 Axis = Literal["row", "column"]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; bools and numbers with a fractional part are refused
+    rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """``value`` as a master seed: an integer in [0, 2**64)."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are refused
+    rather than converted."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -210,13 +236,13 @@ def sample(p: JointDistribution, n: int, seed: int) -> CountTable:
     The draw is the sequential conditional-binomial decomposition of the
     multinomial over the cells in row-major order, so equal (p, n, seed)
     always yields bit-identical counts. The bit generator is Philox, keyed
-    by the 64-bit seed alone; no global RNG state is touched.
+    by the 64-bit seed alone; no global RNG state is touched. A bool or
+    fractional n or seed is refused, not truncated.
     """
+    n = _integer(n, "sample size")
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
     counts = rng.multinomial(n, p.cells.ravel(order="C"))
     return CountTable(counts.reshape(p.dims))
 

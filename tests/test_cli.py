@@ -360,3 +360,74 @@ class TestConfigFieldTypesExitCodes:
             code, out, err = run(capsys, "simulate", "--config", path)
             assert code == 2 and out == ""
             assert err.startswith("parse error:") and field in err
+
+
+_PINNED_FILES = {
+    "counts.csv": "#rows=2 cols=2\n30,10\n10,50\n",
+    "empty_column.csv": "#rows=2 cols=3\n6,0,2\n3,0,9\n",
+    "marginal3.csv": "0.5,0.2,0.3\n",
+    "rows.csv": "0.5,0.5\n",
+    "cols.csv": "0.6,0.4\n",
+    "config.json": json.dumps(
+        {
+            "row_marginal": [0.5, 0.5],
+            "col_marginal": [0.5, 0.5],
+            "log_cpr_grid": [0.0, 2.0],
+            "n_grid": [50],
+            "replications": 400,
+            "seed": 9,
+        }
+    ),
+}
+
+_IPF = ["ipf", "--counts", "counts.csv", "--row-marginal", "rows.csv", "--col-marginal", "cols.csv"]
+
+_PINNED_COMMANDS = {
+    "estimate": ["estimate", "--counts", "counts.csv"],
+    "adjust": ["adjust", "--counts", "empty_column.csv", "--marginal", "marginal3.csv"],
+    "asymptotics": ["asymptotics", "--counts", "counts.csv"],
+    "ipf": _IPF,
+    "ipf-not-converged": [*_IPF, "--max-iter", "2"],
+    "case-study": ["case-study"],
+    "simulate": ["simulate", "--config", "config.json"],
+}
+
+
+class TestOutputBytesPinned:
+    # sha256 of stdout for small fixed inputs, in both formats: the CLI's
+    # output path may change shape, its bytes may not.
+    @pytest.mark.parametrize(
+        "command, fmt, digest",
+        [
+            ("estimate", "csv", "5ec90ad9d0a7f73a43e958ed3354d8d67ee5ec53851129c46ecdb2e3db7ea847"),
+            ("estimate", "json", "aee05d5634e7dd33a9b83810bcfcbbd4470173368b10adefba7941fa72397a02"),
+            ("adjust", "csv", "161b3026fb361a65a33a80f45e28e3e3a4cb537e25b74ed9fe478c8c9b866364"),
+            ("adjust", "json", "636aa95839f9789fe2729495757619ed9f812352b004bfaa5f0aabf0d66e01c6"),
+            ("asymptotics", "csv", "f884ba410acad28e8e0e5bd19f5eb9e7790bd869b368eb15f50f1691239cefa8"),
+            ("asymptotics", "json", "597ec751fedd2cbf5d1310de95fb2d81be2b278a1f6c17ea7289c080edcc8367"),
+            ("ipf", "csv", "2143049a2d5b559b77e21b0195a570a2cc402ea02069ee4a05f0285d05bb26ea"),
+            ("ipf", "json", "fc9162ab71549fc3d3749f0fb59e06c723995e6b093c31ffa9da7e738280fc81"),
+            ("ipf-not-converged", "csv", "4befa8e033534d3e2a56e55c535eb0fc0ea7dfaeab9889ec3e2454c22b100808"),
+            ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
+            ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
+            ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
+            ("simulate", "json", "e3d8207ddb3d173f373be1f8b4a3ee91f781812cf4cb906c1ed8000c09353a90"),
+        ],
+    )
+    def test_stdout(self, capsys, tmp_path, monkeypatch, command, fmt, digest):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _PINNED_FILES.items():
+            write_text(tmp_path / name, text)
+        code, out, _ = run(capsys, *_PINNED_COMMANDS[command], "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestNonUtf8InputExitCode:
+    def test_latin1_counts_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("#rows=1 cols=1\n5\n# Stra\xdfe\n".encode("latin-1"))
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and "latin1.csv:1:" in err and "UTF-8" in err
+        assert err.count("\n") == 1

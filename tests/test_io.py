@@ -12,6 +12,7 @@ from margfit import (
     run_experiment,
 )
 from margfit.io import (
+    CASE_STUDY_COLUMNS,
     ParseError,
     bundled_data_text,
     case_study_from_json_dict,
@@ -29,6 +30,8 @@ from margfit.io import (
     parse_sections_text,
     read_count_table,
     read_experiment_config,
+    read_joint_table,
+    read_marginal,
     render_case_study_csv,
     render_count_table,
     render_grid_csv,
@@ -284,3 +287,32 @@ class TestInt64Range:
     def test_marginal_count_beyond_int64_reports_line(self):
         with pytest.raises(ParseError, match=r"m\.csv:2: count .* exceeds the int64 range"):
             parse_marginal_text("# counts\n9223372036854775808,1\n", "m.csv")
+
+
+class TestNonUtf8Input:
+    def test_every_reader_raises_parse_error_on_line_1(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("#rows=1 cols=1\n5\n# Stra\xdfe\n".encode("latin-1"))
+        for read in (read_count_table, read_joint_table, read_marginal, read_experiment_config):
+            with pytest.raises(ParseError, match="not UTF-8") as info:
+                read(path)
+            assert (info.value.source, info.value.line) == (str(path), 1)
+
+
+class TestCaseStudyZeroColumnsLine:
+    def test_non_integer_index_is_parse_error(self):
+        text = "#zero_columns=a\n" + ",".join(CASE_STUDY_COLUMNS) + "\n"
+        with pytest.raises(ParseError, match="column indices") as info:
+            parse_case_study_csv_text(text)
+        assert info.value.line == 1
+
+
+class TestCsvModuleErrors:
+    def test_carriage_return_in_grid_field_is_parse_error(self):
+        with pytest.raises(ParseError, match="new-line character"):
+            parse_grid_csv_text("\r0")
+
+    def test_oversized_case_study_field_is_parse_error(self):
+        with pytest.raises(ParseError, match="field limit") as info:
+            parse_case_study_csv_text("#zero_columns=\n" + "x" * 200_000)
+        assert info.value.line == 2

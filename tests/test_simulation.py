@@ -442,3 +442,17 @@ class TestExperimentConfigRefusesNonNumbers:
                 small_config(log_cpr_grid=value)
         cfg = small_config(log_cpr_grid=(np.float32(0.5), np.int64(1), 2))
         assert cfg.log_cpr_grid == (0.5, 1.0, 2.0)
+
+
+class TestWeightsAsPlainArray:
+    def test_array_gives_the_weight_vector_output(self):
+        raw = np.random.default_rng(5).random(40)
+        raw /= raw.sum()
+        probs = [0.2, 0.0, 0.3, 0.5]
+        got = replicate_weighted_frequencies(probs, raw, 50, seed=7)
+        want = replicate_weighted_frequencies(probs, WeightVector(raw), 50, seed=7)
+        assert np.array_equal(got, want)
+
+    def test_non_normalised_array_refused(self):
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            replicate_weighted_frequencies([0.5, 0.5], np.full(8, 0.2), 4, 1)

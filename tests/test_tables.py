@@ -257,3 +257,18 @@ class TestBuild2x2:
                 cross_product_ratios(original).scalar,
             )
             np.testing.assert_allclose(rebuilt.cells, original.cells, atol=1e-10)
+
+
+class TestSampleRefusesTruncation:
+    def test_fractional_or_bool_n(self):
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="sample size"):
+                sample(SYMMETRIC_2X2, n, seed=1)
+
+    def test_fractional_or_bool_seed(self):
+        for seed in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="seed"):
+                sample(SYMMETRIC_2X2, 10, seed=seed)
+
+    def test_integral_float_and_numpy_values_accepted(self):
+        assert sample(SYMMETRIC_2X2, 10.0, np.uint64(3)) == sample(SYMMETRIC_2X2, 10, 3)
