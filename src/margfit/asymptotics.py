@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import WeightVector
-from .tables import JointDistribution, MarginalDistribution
+from .tables import JointDistribution, MarginalDistribution, _array, _fields_equal, _frozen
 
 __all__ = [
     "CovarianceMatrix",
@@ -50,9 +50,10 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
-            raise ValueError("covariance must be a non-empty square matrix")
+        shape_error = "covariance must be a non-empty square matrix"
+        entries = _array(self.entries, np.float64, 2, shape_error)
+        if entries.shape[0] != entries.shape[1]:
+            raise ValueError(shape_error)
         if not np.isfinite(entries).all():
             raise ValueError("covariance entries must be finite")
         if np.abs(entries - entries.T).max() > SYMMETRY_TOL:
@@ -61,17 +62,13 @@ class CovarianceMatrix:
             raise ValueError("covariance must be positive semi-definite")
         if np.abs(entries.sum(axis=1)).max() > ROW_SUM_TOL:
             raise ValueError("covariance rows must sum to zero")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _frozen(entries))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CovarianceMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
+    __eq__ = _fields_equal
 
 
 def _as_prob_vector(p) -> np.ndarray:

@@ -14,7 +14,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import PROB_TOL, JointDistribution, MarginalDistribution
+from .tables import (
+    PROB_TOL,
+    JointDistribution,
+    MarginalDistribution,
+    _array,
+    _counts,
+    _fields_equal,
+    _frozen,
+    _integer,
+    _probabilities,
+    _real,
+)
 
 __all__ = [
     "WeightVector",
@@ -37,15 +48,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty vector")
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValueError("weights must be finite and >= 0")
-        total = float(weights.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        weights.flags.writeable = False
+        weights = _probabilities(self.weights, 1, "weights must be a non-empty vector", "weights")
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
@@ -53,12 +56,10 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
+        n = _integer(n, "n", 1)
         return cls(np.full(n, 1.0 / n))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +70,9 @@ class CloneCounts:
     total: int = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if not np.issubdtype(np.asarray(counts).dtype, np.integer):
-            as_int = np.asarray(counts, dtype=np.int64)
-            if not np.array_equal(as_int, counts):
-                raise ValueError("clone counts must be integers")
-            counts = as_int
-        counts = np.array(counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("clone counts must be a non-empty vector")
-        if (counts < 1).any():
-            raise ValueError("clone counts must be >= 1")
-        counts.flags.writeable = False
+        counts = _counts(
+            self.counts, 1, "clone counts must be a non-empty vector", "clone counts", 1
+        )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", int(counts.sum()))
 
@@ -92,10 +84,7 @@ class CloneCounts:
         counts[t]/total."""
         return WeightVector(self.counts / self.total)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CloneCounts):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
+    __eq__ = _fields_equal
 
 
 def _check_categories(xs, n_categories: int | None) -> tuple[np.ndarray, int]:
@@ -154,9 +143,7 @@ class AdjustedTable:
     zero_column_mask: frozenset
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.float64)
-        if cells.ndim != 2 or cells.size == 0:
-            raise ValueError("cells must form a non-empty 2-d table")
+        cells = _array(self.cells, np.float64, 2, "cells must form a non-empty 2-d table")
         if not np.isfinite(cells).all() or (cells < 0).any():
             raise ValueError("cells must be finite and >= 0")
         if len(self.known_col_marginal) != cells.shape[1]:
@@ -174,22 +161,14 @@ class AdjustedTable:
                 raise ValueError(
                     f"column {j} sums to {col_sums[j]!r}, expected {target[j]!r}"
                 )
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", _frozen(cells))
         object.__setattr__(self, "zero_column_mask", mask)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.cells.shape
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdjustedTable):
-            return NotImplemented
-        return (
-            np.array_equal(self.cells, other.cells)
-            and self.known_col_marginal == other.known_col_marginal
-            and self.zero_column_mask == other.zero_column_mask
-        )
+    __eq__ = _fields_equal
 
 
 def _scale_columns_to(cells: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -271,10 +250,10 @@ def ipf_fit(
         raise ValueError("target marginal lengths must match the table dims")
     row_target.require_positive("row target")
     col_target.require_positive("column target")
+    tol = _real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    max_iter = _integer(max_iter, "max_iter", 0)
 
     cells = init.cells
     if (cells.sum(axis=1) == 0.0).any() or (cells.sum(axis=0) == 0.0).any():

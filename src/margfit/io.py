@@ -25,7 +25,7 @@ import csv
 import io as _io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib.resources import files
 from pathlib import Path
 
@@ -329,16 +329,32 @@ def parse_sections_text(text: str, source: str = "<string>") -> dict[str, np.nda
 # ---------------------------------------------------------------------------
 # Experiment grid
 
-GRID_COLUMNS = (
-    "n",
-    "log_cpr",
-    "reduction_pct",
-    "asymptotic_pct",
-    "bias_hat",
-    "bias_tilde",
-    "zero_columns",
-    "error",
+# (CSV column and JSON key, GridCell attribute, type of a present value), in
+# column order. The fields GridCell requires must be present; the others are
+# an empty CSV field or a JSON null when None.
+_GRID_FIELDS = (
+    ("n", "n", int),
+    ("log_cpr", "log_cpr", float),
+    ("reduction_pct", "reduction_pct", float),
+    ("asymptotic_pct", "asymptotic_pct", float),
+    ("bias_hat", "bias_hat", float),
+    ("bias_tilde", "bias_tilde", float),
+    ("zero_columns", "zero_column_events", int),
+    ("error", "error", str),
 )
+GRID_COLUMNS = tuple(column for column, _, _ in _GRID_FIELDS)
+_GRID_REQUIRED = {f.name for f in fields(GridCell) if f.default is MISSING}
+
+
+def _grid_cell(values, absent) -> GridCell:
+    """The GridCell of ``values`` in _GRID_FIELDS order, where ``absent``
+    stands for None."""
+    return GridCell(
+        **{
+            attr: kind(value) if value != absent or attr in _GRID_REQUIRED else None
+            for (_, attr, kind), value in zip(_GRID_FIELDS, values)
+        }
+    )
 
 
 def render_grid_csv(grid: ExperimentGrid) -> str:
@@ -346,18 +362,11 @@ def render_grid_csv(grid: ExperimentGrid) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(GRID_COLUMNS)
     for cell in grid.cells:
-        writer.writerow(
-            [
-                str(cell.n),
-                _fmt(cell.log_cpr),
-                "" if cell.reduction_pct is None else _fmt(cell.reduction_pct),
-                "" if cell.asymptotic_pct is None else _fmt(cell.asymptotic_pct),
-                "" if cell.bias_hat is None else _fmt(cell.bias_hat),
-                "" if cell.bias_tilde is None else _fmt(cell.bias_tilde),
-                "" if cell.zero_column_events is None else str(cell.zero_column_events),
-                "" if cell.error is None else cell.error,
-            ]
-        )
+        row = []
+        for _, attr, kind in _GRID_FIELDS:
+            value = getattr(cell, attr)
+            row.append("" if value is None else _fmt(value) if kind is float else str(value))
+        writer.writerow(row)
     return buf.getvalue()
 
 
@@ -384,59 +393,27 @@ def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
         if len(row) != len(GRID_COLUMNS):
             raise ParseError(source, line_no, f"expected {len(GRID_COLUMNS)} fields")
         try:
-            cells.append(
-                GridCell(
-                    n=int(row[0]),
-                    log_cpr=float(row[1]),
-                    reduction_pct=float(row[2]) if row[2] else None,
-                    asymptotic_pct=float(row[3]) if row[3] else None,
-                    bias_hat=float(row[4]) if row[4] else None,
-                    bias_tilde=float(row[5]) if row[5] else None,
-                    zero_column_events=int(row[6]) if row[6] else None,
-                    error=row[7] or None,
-                )
-            )
+            cells.append(_grid_cell(row, ""))
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
     return ExperimentGrid(cells=tuple(cells))
-
-
-def _cell_to_dict(cell: GridCell) -> dict:
-    return {
-        "n": cell.n,
-        "log_cpr": cell.log_cpr,
-        "reduction_pct": cell.reduction_pct,
-        "asymptotic_pct": cell.asymptotic_pct,
-        "bias_hat": cell.bias_hat,
-        "bias_tilde": cell.bias_tilde,
-        "zero_columns": cell.zero_column_events,
-        "error": cell.error,
-    }
 
 
 def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig | None = None) -> dict:
     out: dict = {}
     if config is not None:
         out["config"] = config.to_dict()
-    out["cells"] = [_cell_to_dict(c) for c in grid.cells]
+    out["cells"] = [
+        {column: getattr(cell, attr) for column, attr, _ in _GRID_FIELDS} for cell in grid.cells
+    ]
     return out
 
 
 def grid_from_json_dict(data: dict) -> ExperimentGrid:
-    cells = []
-    for entry in data["cells"]:
-        cells.append(
-            GridCell(
-                n=int(entry["n"]),
-                log_cpr=float(entry["log_cpr"]),
-                reduction_pct=entry["reduction_pct"],
-                asymptotic_pct=entry["asymptotic_pct"],
-                bias_hat=entry["bias_hat"],
-                bias_tilde=entry["bias_tilde"],
-                zero_column_events=entry["zero_columns"],
-                error=entry["error"],
-            )
-        )
+    cells = [
+        _grid_cell([entry[column] for column, _, _ in _GRID_FIELDS], None)
+        for entry in data["cells"]
+    ]
     return ExperimentGrid(cells=tuple(cells))
 
 
@@ -548,6 +525,8 @@ def read_experiment_config(path) -> ExperimentConfig:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(source, exc.lineno, exc.msg) from None
+    except RecursionError:
+        raise ParseError(source, 1, "JSON nested too deeply") from None
     try:
         return ExperimentConfig.from_dict(data)
     except ValueError as exc:

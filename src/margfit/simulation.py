@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -129,10 +129,7 @@ class ExperimentConfig:
         if not n_grid or any(n < 1 for n in n_grid):
             raise ValueError("n_grid must be non-empty with entries >= 1")
         object.__setattr__(self, "n_grid", n_grid)
-        replications = _integer(self.replications, "replications")
-        if replications < 2:
-            raise ValueError("replications must be >= 2")
-        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "replications", _integer(self.replications, "replications", 2))
         object.__setattr__(self, "seed", _seed(self.seed))
 
     def with_overrides(self, seed: int | None = None, replications: int | None = None):
@@ -144,34 +141,24 @@ class ExperimentConfig:
         return replace(self, **updates) if updates else self
 
     def to_dict(self) -> dict:
-        return {
-            "row_marginal": list(self.row_marginal),
-            "col_marginal": list(self.col_marginal),
-            "log_cpr_grid": list(self.log_cpr_grid),
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+        """The fields in declaration order, sequences as lists (JSON arrays)."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError("experiment config must be a JSON object")
-        known = {
-            "row_marginal",
-            "col_marginal",
-            "log_cpr_grid",
-            "n_grid",
-            "replications",
-            "seed",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for required in ("row_marginal", "col_marginal"):
-            if required not in data:
-                raise ValueError(f"config is missing {required!r}")
-        kwargs = {k: v for k, v in data.items() if k in known}
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+                raise ValueError(f"config is missing {f.name!r}")
+        kwargs = dict(data)
         for key in ("row_marginal", "col_marginal", "log_cpr_grid", "n_grid"):
             if key in kwargs:
                 if not isinstance(kwargs[key], list):
@@ -268,12 +255,8 @@ def replicate_marginal_estimates(
     this routine in a larger deterministic experiment (the grid runner
     passes its cell index).
     """
-    n = _integer(n, "sample size")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    replications = _integer(replications, "replications")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    n = _integer(n, "sample size", 1)
+    replications = _integer(replications, "replications", 1)
     seed = _seed(seed)
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
@@ -308,9 +291,7 @@ def replicate_weighted_frequencies(
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights)
     probs = probs.probs
-    replications = _integer(replications, "replications")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    replications = _integer(replications, "replications", 1)
     seed = _seed(seed)
     n = len(weights)
     n_categories = probs.shape[0]
@@ -407,8 +388,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
     any setting produces bit-identical results, because every block's
     stream and every aggregation order is fixed by indices alone.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _integer(workers, "workers", 1)
     row = MarginalDistribution(cfg.row_marginal, axis="row")
     col = MarginalDistribution(cfg.col_marginal, axis="column")
     target = cfg.row_marginal[0]

@@ -3,12 +3,19 @@
 Probabilities are stored as float64, counts as int64. Containers are frozen
 dataclasses around read-only arrays, so constructed values are immutable and
 safe to share between threads.
+
+Every value type here and in ``estimators`` and ``asymptotics`` builds its
+array through one checked path: ``_array`` (a non-empty copy with the right
+number of dimensions), then ``_probabilities`` (finite, >= 0, summing to 1
+within ``PROB_TOL``) or ``_counts`` (integral, each at least a minimum), and
+``_frozen`` makes the result read-only. The types compare field by field
+through ``_fields_equal`` and are unhashable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -37,14 +44,18 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 Axis = Literal["row", "column"]
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; bools and numbers with a fractional part are refused
-    rather than truncated."""
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when one is given; bools and
+    numbers with a fractional part are refused rather than truncated."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        number = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        number = int(value)
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return number
 
 
 def _seed(value) -> int:
@@ -63,10 +74,57 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, so the value holding it cannot change."""
     arr.flags.writeable = False
     return arr
+
+
+def _array(values, dtype, ndim: int, shape_error: str) -> np.ndarray:
+    """A copy of ``values`` as a non-empty array with ``ndim`` dimensions."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(shape_error)
+    return arr
+
+
+def _probabilities(values, ndim: int, shape_error: str, name: str) -> np.ndarray:
+    """Read-only float64 probabilities: finite, >= 0 and summing to 1 within
+    ``PROB_TOL``."""
+    probs = _array(values, np.float64, ndim, shape_error)
+    if not np.isfinite(probs).all() or (probs < 0).any():
+        raise ValueError(f"{name} must be finite and >= 0")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"{name} must sum to 1, got {total!r}")
+    return _frozen(probs)
+
+
+def _counts(values, ndim: int, shape_error: str, name: str, minimum: int) -> np.ndarray:
+    """Read-only int64 counts, each >= ``minimum``; values with a fractional
+    part are refused rather than truncated."""
+    counts = _array(values, None, ndim, shape_error)
+    if not np.issubdtype(counts.dtype, np.integer):
+        as_int = counts.astype(np.int64)
+        if not np.array_equal(as_int, counts):
+            raise ValueError(f"{name} must be integers")
+        counts = as_int
+    counts = counts.astype(np.int64, copy=False)
+    if (counts < minimum).any():
+        raise ValueError(f"{name} must be >= {minimum}")
+    return _frozen(counts)
+
+
+def _fields_equal(self, other):
+    """``__eq__`` of the value types: field by field, arrays by shape and
+    entries (NaN equal to NaN), other fields with ``==``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,15 +134,9 @@ class JointDistribution:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.float64)
-        if cells.ndim != 2 or cells.size == 0:
-            raise ValueError("cells must form a non-empty 2-d table")
-        if not np.isfinite(cells).all() or (cells < 0).any():
-            raise ValueError("cell probabilities must be finite and >= 0")
-        total = float(cells.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"cell probabilities must sum to 1, got {total!r}")
-        cells.flags.writeable = False
+        cells = _probabilities(
+            self.cells, 2, "cells must form a non-empty 2-d table", "cell probabilities"
+        )
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -99,10 +151,7 @@ class JointDistribution:
     def dims(self) -> tuple[int, int]:
         return self.cells.shape
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JointDistribution):
-            return NotImplemented
-        return np.array_equal(self.cells, other.cells)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +162,11 @@ class MarginalDistribution:
     axis: Axis
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("marginal must be a non-empty vector")
-        if not np.isfinite(probs).all() or (probs < 0).any():
-            raise ValueError("marginal entries must be finite and >= 0")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"marginal entries must sum to 1, got {total!r}")
+        probs = _probabilities(
+            self.probs, 1, "marginal must be a non-empty vector", "marginal entries"
+        )
         if self.axis not in ("row", "column"):
             raise ValueError(f"axis must be 'row' or 'column', got {self.axis!r}")
-        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
@@ -135,10 +178,7 @@ class MarginalDistribution:
         if (self.probs == 0.0).any():
             raise ValueError(f"{context} must have strictly positive entries")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarginalDistribution):
-            return NotImplemented
-        return self.axis == other.axis and np.array_equal(self.probs, other.probs)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,22 +189,11 @@ class CountTable:
     total: int = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.size == 0:
-            raise ValueError("counts must form a non-empty 2-d table")
-        if not np.issubdtype(counts.dtype, np.integer):
-            as_int = np.asarray(counts, dtype=np.int64)
-            if not np.array_equal(as_int, counts):
-                raise ValueError("counts must be integers")
-            counts = as_int
-        counts = np.array(counts, dtype=np.int64)
-        if (counts < 0).any():
-            raise ValueError("counts must be >= 0")
+        counts = _counts(self.counts, 2, "counts must form a non-empty 2-d table", "counts", 0)
         # Summed as Python ints: an int64 sum would wrap silently.
         total = sum(counts.ravel().tolist())
         if total > INT64_MAX:
             raise ValueError(f"count total {total} exceeds the int64 range")
-        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total)
 
@@ -172,10 +201,7 @@ class CountTable:
     def dims(self) -> tuple[int, int]:
         return self.counts.shape
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +221,7 @@ class SampleBatch:
         x, y = pairs[:, 0], pairs[:, 1]
         if pairs.size and ((x < 1).any() or (x > n_rows).any() or (y < 1).any() or (y > n_cols).any()):
             raise ValueError("pair labels out of range for the given dims")
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", _frozen(pairs))
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -207,10 +232,7 @@ class SampleBatch:
         counts = np.bincount(flat, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
         return CountTable(counts)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampleBatch):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.pairs, other.pairs)
+    __eq__ = _fields_equal
 
 
 def row_marginal(p: JointDistribution) -> MarginalDistribution:
@@ -239,9 +261,7 @@ def sample(p: JointDistribution, n: int, seed: int) -> CountTable:
     by the 64-bit seed alone; no global RNG state is touched. A bool or
     fractional n or seed is refused, not truncated.
     """
-    n = _integer(n, "sample size")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
+    n = _integer(n, "sample size", 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
     counts = rng.multinomial(n, p.cells.ravel(order="C"))
     return CountTable(counts.reshape(p.dims))
@@ -260,9 +280,8 @@ class CrossProductRatios:
     undefined: frozenset
 
     def __post_init__(self):
-        ratios = np.asarray(self.ratios, dtype=np.float64)
-        ratios.flags.writeable = False
-        object.__setattr__(self, "ratios", ratios)
+        ratios = _array(self.ratios, np.float64, 4, "ratios must be a non-empty 4-d array")
+        object.__setattr__(self, "ratios", _frozen(ratios))
         object.__setattr__(self, "undefined", frozenset(self.undefined))
 
     @property
@@ -272,13 +291,7 @@ class CrossProductRatios:
             raise ValueError("scalar cross-product ratio is defined for 2x2 tables only")
         return float(self.ratios[0, 1, 0, 1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossProductRatios):
-            return NotImplemented
-        return (
-            np.array_equal(self.ratios, other.ratios, equal_nan=True)
-            and self.undefined == other.undefined
-        )
+    __eq__ = _fields_equal
 
 
 def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:

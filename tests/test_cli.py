@@ -361,6 +361,13 @@ class TestConfigFieldTypesExitCodes:
             assert code == 2 and out == ""
             assert err.startswith("parse error:") and field in err
 
+    def test_too_deeply_nested_json_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        write_text(path, "[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
 
 _PINNED_FILES = {
     "counts.csv": "#rows=2 cols=2\n30,10\n10,50\n",

@@ -272,3 +272,22 @@ class TestIpfTolerance:
         for tol in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol"):
                 ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=tol)
+
+    def test_max_iter_and_tol_must_be_numbers(self):
+        table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        rows, cols = marg([0.2, 0.8], "row"), marg([0.7, 0.3])
+        for max_iter in (2.5, True, "3", -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                ipf_fit(table, rows, cols, max_iter=max_iter)
+        for tol in ("1e-10", True, None):
+            with pytest.raises(ValueError, match="tol"):
+                ipf_fit(table, rows, cols, tol=tol)
+        assert ipf_fit(table, rows, cols, max_iter=5.0) == ipf_fit(table, rows, cols, max_iter=5)
+
+
+class TestWeightVectorUniform:
+    def test_size_must_be_a_positive_integer(self):
+        for n in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="^n must be"):
+                WeightVector.uniform(n)
+        assert WeightVector.uniform(4.0) == WeightVector([0.25] * 4)

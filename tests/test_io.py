@@ -274,6 +274,15 @@ class TestExperimentConfigFile:
         with pytest.raises(ParseError, match="missing"):
             read_experiment_config(path)
 
+    def test_too_deeply_nested_json_is_parse_error_on_line_1(self, tmp_path):
+        # json.loads gives up on deep nesting with RecursionError, not
+        # JSONDecodeError.
+        path = tmp_path / "deep.json"
+        write_text(path, "[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            read_experiment_config(path)
+        assert (info.value.source, info.value.line) == (str(path), 1)
+
 
 class TestInt64Range:
     def test_count_beyond_int64_reports_line(self):

@@ -413,6 +413,12 @@ class TestReplicationArgumentsRefused:
             with pytest.raises(ValueError, match="seed"):
                 replicate_marginal_estimates(SYMMETRIC_2X2, col, 10, 4, seed)
 
+    def test_run_experiment_workers(self):
+        cfg = small_config(replications=2)
+        for workers in (True, 2.5, "2", 0):
+            with pytest.raises(ValueError, match="workers"):
+                run_experiment(cfg, workers=workers)
+
 
 class TestExperimentConfigRefusesNonNumbers:
     def test_sequence_fields_must_be_arrays(self):
