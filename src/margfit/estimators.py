@@ -22,6 +22,7 @@ from .tables import (
     _counts,
     _fields_equal,
     _frozen,
+    _int64,
     _integer,
     _probabilities,
     _real,
@@ -88,7 +89,7 @@ class CloneCounts:
 
 
 def _check_categories(xs, n_categories: int | None) -> tuple[np.ndarray, int]:
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = _int64(np.asarray(xs), "category labels")
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("observations must be a non-empty vector of category labels")
     if (xs < 1).any():
@@ -121,7 +122,7 @@ def cloned_frequencies(
 ) -> np.ndarray:
     """Frequencies of the artificially enlarged sample where observation t is
     repeated clones[t] times; identical to weighting by clones[t]/total."""
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = np.asarray(xs)
     if xs.shape[0] != len(clones):
         raise ValueError(
             f"got {xs.shape[0]} observations but {len(clones)} clone counts"

@@ -8,8 +8,9 @@ Every value type here and in ``estimators`` and ``asymptotics`` builds its
 array through one checked path: ``_array`` (a non-empty copy with the right
 number of dimensions), then ``_probabilities`` (finite, >= 0, summing to 1
 within ``PROB_TOL``) or ``_counts`` (integral, each at least a minimum), and
-``_frozen`` makes the result read-only. The types compare field by field
-through ``_fields_equal`` and are unhashable.
+``_frozen`` makes the result read-only. Counts and category labels become
+int64 through ``_int64``, which checks them before the cast. The types
+compare field by field through ``_fields_equal`` and are unhashable.
 """
 
 from __future__ import annotations
@@ -100,16 +101,22 @@ def _probabilities(values, ndim: int, shape_error: str, name: str) -> np.ndarray
     return _frozen(probs)
 
 
+def _int64(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as int64, checked before the cast: a value with a fractional
+    part or outside the int64 range is refused, never truncated or wrapped."""
+    kind = values.dtype.kind
+    if kind not in "biuf" or (
+        kind == "f" and not (np.isfinite(values) & (values == np.trunc(values))).all()
+    ):
+        raise ValueError(f"{name} must be integers")
+    if kind in "uf" and ((values >= 2**63) | (values < -(2**63))).any():
+        raise ValueError(f"{name} must lie in the int64 range")
+    return values.astype(np.int64, copy=False)
+
+
 def _counts(values, ndim: int, shape_error: str, name: str, minimum: int) -> np.ndarray:
-    """Read-only int64 counts, each >= ``minimum``; values with a fractional
-    part are refused rather than truncated."""
-    counts = _array(values, None, ndim, shape_error)
-    if not np.issubdtype(counts.dtype, np.integer):
-        as_int = counts.astype(np.int64)
-        if not np.array_equal(as_int, counts):
-            raise ValueError(f"{name} must be integers")
-        counts = as_int
-    counts = counts.astype(np.int64, copy=False)
+    """Read-only int64 counts, each >= ``minimum``."""
+    counts = _int64(_array(values, None, ndim, shape_error), name)
     if (counts < minimum).any():
         raise ValueError(f"{name} must be >= {minimum}")
     return _frozen(counts)
@@ -212,7 +219,7 @@ class SampleBatch:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        pairs = np.array(self.pairs, dtype=np.int64)
+        pairs = _int64(np.array(self.pairs), "pair labels")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("pairs must be an (n, 2) array of category labels")
         n_rows, n_cols = self.dims

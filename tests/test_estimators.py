@@ -52,6 +52,17 @@ class TestWeightedFrequencies:
         with pytest.raises(ValueError, match="1-based"):
             weighted_frequencies([0, 1], WeightVector([0.5, 0.5]))
 
+    def test_fractional_labels_rejected_not_truncated(self):
+        for xs in ([1.5, 2.7], [1.0, float("nan")], np.array([1.0, 2.5])):
+            with pytest.raises(ValueError, match="category labels must be integers"):
+                weighted_frequencies(xs, WeightVector.uniform(2))
+        result = weighted_frequencies([1.0, 2.0], WeightVector([0.75, 0.25]))
+        np.testing.assert_array_equal(result, [0.75, 0.25])
+
+    def test_labels_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="category labels must lie in the int64 range"):
+            weighted_frequencies([1.0, 1e19], WeightVector.uniform(2))
+
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
             WeightVector([0.5, 0.6])
@@ -85,6 +96,10 @@ class TestClonedFrequencies:
                 xs, WeightVector(clones.counts / clones.total), n_categories=5
             )
             np.testing.assert_allclose(via_clones, via_weights, atol=1e-15)
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="category labels must be integers"):
+            cloned_frequencies([1.5, 2.0], CloneCounts([1, 1]))
 
     def test_clone_counts_validation(self):
         with pytest.raises(ValueError, match=">= 1"):

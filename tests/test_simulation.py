@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from margfit import (
     run_experiment,
 )
 from margfit.io import load_destatis2014, load_gidas_table3
+from margfit.simulation import CHUNK_REPLICATIONS, _chunk_estimates, _stream
 from margfit.tables import PROB_TOL, CountTable, empirical_joint, row_marginal
 
 SYMMETRIC_2X2 = JointDistribution([[0.375, 0.125], [0.125, 0.375]])
@@ -462,3 +464,123 @@ class TestWeightsAsPlainArray:
     def test_non_normalised_array_refused(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):
             replicate_weighted_frequencies([0.5, 0.5], np.full(8, 0.2), 4, 1)
+
+
+def reference_chunk_estimates(flat_cells, col_probs, dims, n, size, rng):
+    """Reference for ``simulation._chunk_estimates``: the same multinomial
+    draw, reduced over the reshaped ``(size, I, J)`` table with numpy's
+    ``sum`` along each axis."""
+    n_rows, n_cols = dims
+    counts = rng.multinomial(n, flat_cells, size=size).reshape(size, n_rows, n_cols)
+    col_sums = counts.sum(axis=1)
+    excluded = (col_sums == 0).any(axis=1)
+    phat = counts.sum(axis=2) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = col_probs / col_sums
+        ptilde = (counts * scale[:, None, :]).sum(axis=2)
+    ptilde[excluded] = np.nan
+    return phat, ptilde, excluded
+
+
+def random_chunk_inputs(rng, n_rows, n_cols, thin_column):
+    cells = rng.dirichlet(np.ones(n_rows * n_cols)).reshape(n_rows, n_cols)
+    if thin_column:
+        # one near-empty column, so small samples often miss it entirely
+        cells[:, int(rng.integers(n_cols))] *= 1e-3
+        cells /= cells.sum()
+    return cells.ravel(), rng.dirichlet(np.ones(n_cols))
+
+
+class TestChunkKernelMatchesReference:
+    def test_bit_identical_up_to_seven_columns(self):
+        rng = np.random.default_rng(606)
+        excluded_seen = 0
+        for n_rows in range(2, 6):
+            for n_cols in range(2, 8):
+                for n in (1, 3, 20, 1000):
+                    thin = bool(rng.integers(2))
+                    flat, col = random_chunk_inputs(rng, n_rows, n_cols, thin_column=thin)
+                    args = (flat, col, (n_rows, n_cols), n, int(rng.integers(1, 700)))
+                    key = (n_rows, n_cols, n)
+                    got = _chunk_estimates(*args, _stream(9, key))
+                    want = reference_chunk_estimates(*args, _stream(9, key))
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w, equal_nan=True), key
+                    excluded_seen += int(got[2].sum())
+        assert excluded_seen > 0
+
+    def test_replications_over_two_full_chunks_and_a_partial_one(self):
+        reps = 10000
+        assert 2 * CHUNK_REPLICATIONS < reps < 3 * CHUNK_REPLICATIONS
+        col = marg([0.9, 0.1])
+        table = JointDistribution([[0.6, 0.06], [0.3, 0.04]])
+        got = replicate_marginal_estimates(table, col, 20, reps, seed=4, stream_key=(7,))
+        parts = [
+            reference_chunk_estimates(
+                table.cells.ravel(), col.probs, (2, 2), 20, size, _stream(4, (7, c))
+            )
+            for c, size in enumerate((CHUNK_REPLICATIONS, CHUNK_REPLICATIONS, reps - 8192))
+        ]
+        want = [np.concatenate(arrays) for arrays in zip(*parts)]
+        assert want[2].any()
+        assert np.array_equal(got.phat_rows, want[0])
+        assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
+        assert np.array_equal(got.excluded, want[2])
+
+    def test_eight_or_more_columns_differ_only_in_summation_order(self):
+        # From 8 columns numpy's sum(axis=2) is pairwise, the kernel's stays
+        # left to right: the integer outputs are equal, ptilde to 1e-14.
+        rng = np.random.default_rng(88)
+        for n_cols in (8, 9, 12):
+            for n in (20, 1000):
+                flat, col = random_chunk_inputs(rng, 3, n_cols, thin_column=n == 20)
+                args = (flat, col, (3, n_cols), n, 500)
+                got = _chunk_estimates(*args, _stream(2, (n_cols, n)))
+                want = reference_chunk_estimates(*args, _stream(2, (n_cols, n)))
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[2], want[2])
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+
+
+class TestEmptyColumnsStaySilent:
+    def test_no_warning_when_a_column_is_empty(self):
+        # An empty column makes the kernel compute 0 * inf; that must stay
+        # inside its errstate and never surface as a RuntimeWarning.
+        table = JointDistribution([[0.5, 0.0], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reps = replicate_marginal_estimates(table, marg([0.5, 0.5]), 10, 50, seed=3)
+        assert reps.excluded.all()
+        assert np.isnan(reps.ptilde_rows).all()
+
+
+class TestStreamKeyRefused:
+    def run(self, stream_key):
+        return replicate_marginal_estimates(
+            SYMMETRIC_2X2, marg([0.5, 0.5]), 10, 4, seed=1, stream_key=stream_key
+        )
+
+    def test_bool_entry(self):
+        with pytest.raises(ValueError, match="each stream_key entry"):
+            self.run((True,))
+
+    def test_fractional_entry(self):
+        with pytest.raises(ValueError, match="each stream_key entry"):
+            self.run((1.5,))
+
+    def test_negative_entry(self):
+        with pytest.raises(ValueError, match="each stream_key entry must be >= 0"):
+            self.run((0, -1))
+
+    def test_bare_integer(self):
+        with pytest.raises(ValueError, match="stream_key must be a tuple"):
+            self.run(5)
+
+    def test_list(self):
+        with pytest.raises(ValueError, match="stream_key must be a tuple"):
+            self.run([1])
+
+    def test_integral_entries_keep_their_stream(self):
+        got = self.run((np.int64(2), 3.0))
+        want = self.run((2, 3))
+        assert np.array_equal(got.phat_rows, want.phat_rows)

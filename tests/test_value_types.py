@@ -235,10 +235,19 @@ ERROR_CASES = [
     (CovarianceMatrix, [[0.25, -0.25], [-0.24, 0.24]], "covariance must be symmetric"),
     (CovarianceMatrix, [[-1.0, 1.0], [1.0, -1.0]], "covariance must be positive semi-definite"),
     (CovarianceMatrix, [[1.0, 0.0], [0.0, 1.0]], "covariance rows must sum to zero"),
+    # Integer inputs are checked before the int64 cast: nothing is truncated
+    # or wrapped, and no cast warns.
+    (CountTable, np.array([[2**63, 1]], dtype=np.uint64), "counts must lie in the int64 range"),
+    (CountTable, [[1e19, 1]], "counts must lie in the int64 range"),
+    (CountTable, [[-1e19, 1]], "counts must lie in the int64 range"),
+    (CountTable, [["1", "2"]], "counts must be integers"),
+    (CloneCounts, [1e19, 1.0], "clone counts must lie in the int64 range"),
+    (pairs, [[1.9, 1], [2, 2.5]], "pair labels must be integers"),
+    (pairs, [[NAN, 1]], "pair labels must be integers"),
+    (pairs, [[1e19, 1]], "pair labels must lie in the int64 range"),
 ]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize(("make", "value", "message"), ERROR_CASES)
 def test_single_fault_message(make, value, message):
     with pytest.raises(ValueError) as excinfo:
@@ -251,3 +260,11 @@ def test_cross_product_ratios_are_read_only():
     assert ratios.undefined == frozenset()
     with pytest.raises(ValueError):
         ratios.ratios[0, 1, 0, 1] = 2.0
+
+
+def test_sample_batch_keeps_integral_float_labels_and_empty_batches():
+    assert pairs([[1.0, 2.0], [2.0, 1.0]]) == pairs([[1, 2], [2, 1]])
+    for empty in (np.empty((0, 2)), np.empty((0, 2), dtype=np.int64)):
+        batch = pairs(empty)
+        assert len(batch) == 0
+        assert batch.to_count_table().total == 0
