@@ -96,8 +96,9 @@ def _check_categories(xs, n_categories: int | None) -> tuple[np.ndarray, int]:
         raise ValueError("category labels are 1-based")
     top = int(xs.max())
     if n_categories is None:
-        n_categories = top
-    elif top > n_categories:
+        return xs, top
+    n_categories = _integer(n_categories, "n_categories", 1)
+    if top > n_categories:
         raise ValueError(f"label {top} exceeds n_categories={n_categories}")
     return xs, n_categories
 

@@ -16,7 +16,10 @@ therefore depends only on the master seed and its own indices, never on
 scheduling. Per-replication estimates land in index-addressed arrays and
 are aggregated in a fixed order, so serial and parallel runs of the same
 configuration are bit-identical. ``run_experiment``'s ``workers`` threads
-parallelise over grid cells, never within one.
+parallelise over grid cells, never within one. By default they are as many
+as the cores the process may run on, capped at the number of grid cells, so
+``margfit simulate`` uses every available core and its output bits equal
+those of the serial run.
 
 A block is one ``multinomial(n, cells, size)`` call, reduced over strided
 column views of its ``(size, I*J)`` output. Row and column totals are exact
@@ -38,6 +41,7 @@ form, which the tests keep as the reference.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
@@ -378,7 +382,15 @@ def _aggregate_cell(
     )
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
+def _available_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentGrid:
     """Run the full (n, log cpr) grid of ``cfg``.
 
     Infeasible grid points (e.g. a cpr too extreme for the marginals in
@@ -386,13 +398,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentGrid:
     draws its replications through :func:`replicate_marginal_estimates`
     with stream key ``(k,)``; ``workers`` threads share out whole cells and
     any setting produces bit-identical results, because every block's
-    stream and every aggregation order is fixed by indices alone.
+    stream and every aggregation order is fixed by indices alone. ``None``
+    means one thread per available core, at most one per grid cell; one
+    worker runs the cells in order on the calling thread.
     """
-    workers = _integer(workers, "workers", 1)
+    points = [(n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid]
+    if workers is None:
+        workers = min(_available_cores(), len(points))
+    else:
+        workers = _integer(workers, "workers", 1)
     row = MarginalDistribution(cfg.row_marginal, axis="row")
     col = MarginalDistribution(cfg.col_marginal, axis="column")
     target = cfg.row_marginal[0]
-    points = [(n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid]
 
     def run_cell(k: int) -> GridCell:
         n, lc = points[k]

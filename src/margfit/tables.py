@@ -105,6 +105,14 @@ def _int64(values: np.ndarray, name: str) -> np.ndarray:
     """``values`` as int64, checked before the cast: a value with a fractional
     part or outside the int64 range is refused, never truncated or wrapped."""
     kind = values.dtype.kind
+    if kind == "O":
+        # numpy keeps Python ints beyond the 64-bit integer types as objects.
+        entries = values.ravel().tolist()
+        if not all(isinstance(v, int) for v in entries):
+            raise ValueError(f"{name} must be integers")
+        if not all(-(2**63) <= v < 2**63 for v in entries):
+            raise ValueError(f"{name} must lie in the int64 range")
+        return values.astype(np.int64)
     if kind not in "biuf" or (
         kind == "f" and not (np.isfinite(values) & (values == np.trunc(values))).all()
     ):
@@ -222,13 +230,16 @@ class SampleBatch:
         pairs = _int64(np.array(self.pairs), "pair labels")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("pairs must be an (n, 2) array of category labels")
-        n_rows, n_cols = self.dims
+        if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
+            raise ValueError(f"dims must be a (rows, cols) pair, got {self.dims!r}")
+        n_rows, n_cols = (_integer(d, "each dims entry") for d in self.dims)
         if n_rows < 1 or n_cols < 1:
             raise ValueError("dims must be positive")
         x, y = pairs[:, 0], pairs[:, 1]
         if pairs.size and ((x < 1).any() or (x > n_rows).any() or (y < 1).any() or (y > n_cols).any()):
             raise ValueError("pair labels out of range for the given dims")
         object.__setattr__(self, "pairs", _frozen(pairs))
+        object.__setattr__(self, "dims", (n_rows, n_cols))
 
     def __len__(self) -> int:
         return self.pairs.shape[0]

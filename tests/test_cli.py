@@ -1,9 +1,11 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import margfit.simulation as simulation
 from margfit.cli import main
 from margfit.io import parse_case_study_csv_text, parse_grid_csv_text, parse_sections_text, write_text
 
@@ -174,6 +176,28 @@ class TestSimulate:
     def test_missing_config_is_parse_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--config", "nothere.json")
         assert code == 2
+
+
+class TestSimulateWorkerFailure:
+    def test_memory_error_in_one_cell_is_one_line_exit_3(
+        self, capsys, config_file, monkeypatch
+    ):
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 2)
+        real = simulation.replicate_marginal_estimates
+        failed_on = []
+
+        def fail_on_cell_1(*args, stream_key=(), **kwargs):
+            if stream_key == (1,):
+                failed_on.append(threading.current_thread())
+                raise MemoryError("Unable to allocate 1.00 TiB for an array")
+            return real(*args, stream_key=stream_key, **kwargs)
+
+        monkeypatch.setattr(simulation, "replicate_marginal_estimates", fail_on_cell_1)
+        code, out, err = run(capsys, "simulate", "--config", config_file)
+        assert code == 3
+        assert out == ""
+        assert err == "error: Unable to allocate 1.00 TiB for an array\n"
+        assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
 
 class TestCaseStudy:

@@ -63,6 +63,17 @@ class TestWeightedFrequencies:
         with pytest.raises(ValueError, match="category labels must lie in the int64 range"):
             weighted_frequencies([1.0, 1e19], WeightVector.uniform(2))
 
+    def test_category_count_must_be_a_positive_integer(self):
+        for n_categories in (1.5, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_categories must be an integer"):
+                weighted_frequencies([1, 2], WeightVector.uniform(2), n_categories)
+            with pytest.raises(ValueError, match="n_categories must be an integer"):
+                cloned_frequencies([1, 2], CloneCounts([1, 1]), n_categories)
+        with pytest.raises(ValueError, match="n_categories must be >= 1"):
+            weighted_frequencies([1, 2], WeightVector.uniform(2), 0)
+        result = weighted_frequencies([1, 2], WeightVector([0.75, 0.25]), 3.0)
+        np.testing.assert_array_equal(result, [0.75, 0.25, 0.0])
+
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
             WeightVector([0.5, 0.6])

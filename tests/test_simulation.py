@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from margfit import (
     run_case_study,
     run_experiment,
 )
+import margfit.simulation as simulation
 from margfit.io import load_destatis2014, load_gidas_table3
 from margfit.simulation import CHUNK_REPLICATIONS, _chunk_estimates, _stream
 from margfit.tables import PROB_TOL, CountTable, empirical_joint, row_marginal
@@ -182,6 +184,66 @@ class TestRunExperiment:
         se = math.sqrt(0.25 / 1000 / 20000)
         assert abs(cell.bias_hat) < 5 * se
         assert abs(cell.bias_tilde) < 5 * se + 1e-3
+
+
+class TestDefaultWorkers:
+    """``run_experiment(cfg)`` uses one thread per available core, at most
+    one per grid cell; one worker runs on the calling thread, with no pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of every pool that run_experiment starts."""
+        started = []
+
+        class RecordingPool(simulation.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+        return started
+
+    @staticmethod
+    def set_cores(monkeypatch, cores):
+        monkeypatch.setattr(simulation, "_available_cores", lambda: cores)
+
+    def test_one_cell_grid_starts_no_pool(self, pools, monkeypatch):
+        self.set_cores(monkeypatch, 4)
+        run_experiment(small_config(log_cpr_grid=(0.0,), n_grid=(20,), replications=50))
+        assert pools == []
+
+    @pytest.mark.parametrize("cores", [1, 3, 4, 16])
+    def test_capped_at_cells_and_cores(self, pools, monkeypatch, cores):
+        self.set_cores(monkeypatch, cores)
+        run_experiment(small_config(replications=50))  # 2 x 2 = 4 cells
+        assert pools == ([] if cores == 1 else [min(cores, 4)])
+
+    def test_available_cores_default_stays_within_cells_and_cores(self, pools):
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        assert simulation._available_cores() == cores
+        run_experiment(small_config(replications=50))
+        assert pools == ([] if cores == 1 else [min(cores, 4)])
+
+    def test_explicit_workers_are_kept(self, pools, monkeypatch):
+        self.set_cores(monkeypatch, 4)
+        run_experiment(small_config(replications=50), workers=1)
+        assert pools == []
+        run_experiment(small_config(replications=50), workers=8)
+        assert pools == [8]
+
+    @pytest.mark.parametrize("cores", [None, 3])
+    def test_default_equals_serial_cell_for_cell(self, monkeypatch, cores):
+        if cores is not None:
+            self.set_cores(monkeypatch, cores)
+        cfg = small_config(replications=5000)
+        default = run_experiment(cfg).cells
+        serial = run_experiment(cfg, workers=1).cells
+        assert len(default) == len(serial) == 4
+        for got, want in zip(default, serial):
+            assert got == want
 
 
 class TestReplicateMarginalEstimates:

@@ -268,3 +268,32 @@ def test_sample_batch_keeps_integral_float_labels_and_empty_batches():
         batch = pairs(empty)
         assert len(batch) == 0
         assert batch.to_count_table().total == 0
+
+
+def test_sample_batch_dims_are_integers_refused_not_truncated():
+    for dims in ((2.5, 2), (True, 2), (2, "2")):
+        with pytest.raises(ValueError, match="each dims entry must be an integer"):
+            SampleBatch([[1, 1]], dims=dims)
+    for dims in ((2,), (2, 2, 2), 2):
+        with pytest.raises(ValueError, match=r"dims must be a \(rows, cols\) pair"):
+            SampleBatch([[1, 1]], dims=dims)
+    batch = SampleBatch([[1, 2]], dims=(2.0, np.int64(2)))
+    assert batch.dims == (2, 2) and all(type(d) is int for d in batch.dims)
+    assert batch.to_count_table() == CountTable([[0, 1], [0, 0]])
+    assert len(SampleBatch(np.empty((0, 2)), dims=(1.0, 3))) == 0
+
+
+def test_python_ints_beyond_int64_get_the_range_message():
+    # numpy holds these as object arrays; no cast warning may escape.
+    for values in ([[2**64, 1]], [[-(2**63) - 1, 1]]):
+        with pytest.raises(ValueError) as excinfo:
+            CountTable(values)
+        assert str(excinfo.value) == "counts must lie in the int64 range"
+    with pytest.raises(ValueError) as excinfo:
+        pairs([[2**64, 1]])
+    assert str(excinfo.value) == "pair labels must lie in the int64 range"
+    for values in ([[2**64, None]], np.array([[np.int64(1), 2**64]], dtype=object)):
+        with pytest.raises(ValueError) as excinfo:
+            CountTable(values)
+        assert str(excinfo.value) == "counts must be integers"
+    assert CountTable(np.array([[1, 2]], dtype=object)) == CountTable([[1, 2]])
