@@ -3,11 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 numeric/contract
 error. Every subcommand is a pure function of its inputs, flags and seed:
 repeated invocations emit identical bytes.
+
+The parser is built once per process, on the first :func:`main` call, and
+reused after that, so ``main`` may be called repeatedly in one process and
+gives the same bytes each time. :func:`build_parser` still returns a fresh
+parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -218,13 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main uses, built on its first call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    text = None  # set once every input has been read
     try:
         text = _render(args, args.handler(args))
         if args.out:
@@ -237,14 +247,17 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A missing path (an input, or the directory of --out) or an input
+        # that cannot be read, a directory say, is a parse error; any other
+        # failure to write the output is not.
+        if text is None or isinstance(exc, FileNotFoundError):
+            print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import margfit.cli as cli
 import margfit.simulation as simulation
 from margfit.cli import main
 from margfit.io import parse_case_study_csv_text, parse_grid_csv_text, parse_sections_text, write_text
@@ -462,3 +463,97 @@ class TestNonUtf8InputExitCode:
         assert code == 2 and out == ""
         assert err.startswith("parse error:") and "latin1.csv:1:" in err and "UTF-8" in err
         assert err.count("\n") == 1
+
+
+class TestUnreadableInputExitCode:
+    # A path that exists but cannot be read reads like a missing one. A
+    # directory stands in for an unreadable file, since root ignores modes.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--counts", "{dir}"],
+            ["estimate", "--counts", "{dir}/"],
+            ["adjust", "--table", "{dir}", "--marginal", "{dir}"],
+            ["asymptotics", "--table", "{dir}"],
+            ["simulate", "--config", "{dir}"],
+            ["case-study", "--marginal", "{dir}"],
+        ],
+    )
+    def test_directory_input_is_parse_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"parse error: cannot read {tmp_path}\n"
+
+    def test_directory_out_keeps_its_write_error(self, capsys, counts_file, tmp_path):
+        code, out, err = run(capsys, "estimate", "--counts", counts_file, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def _pinned_digests():
+    (mark,) = [m for m in TestOutputBytesPinned.test_stdout.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_request(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _PINNED_FILES.items():
+            write_text(tmp_path / name, text)
+        write_text(tmp_path / "bad.csv", "#rows=1 cols=1\nx\n")
+        cli._shared_parser.cache_clear()
+
+        code, out, err = run(capsys, "adjust", "--counts", "counts.csv")
+        assert (code, out) == (1, "") and err.startswith("usage error:")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: margfit")
+        code, out, err = run(capsys, "estimate", "--counts", "bad.csv")
+        assert (code, out) == (2, "") and err.startswith("parse error:")
+
+        for command, fmt, digest in _pinned_digests():
+            code, out, _ = run(capsys, *_PINNED_COMMANDS[command], "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fmt)
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        first = cli.build_parser()
+        assert cli.build_parser() is not first
+        assert cli._shared_parser() is not first
+        first.add_argument("--extra")
+        code, _, err = run(capsys, "--extra", "1", "case-study")
+        assert code == 1 and err.startswith("usage error:")
+
+    def test_main_builds_the_parser_at_most_once(self, capsys, counts_file, monkeypatch):
+        cli._shared_parser.cache_clear()
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(20):
+            code, _, _ = run(capsys, "estimate", "--counts", counts_file)
+            assert code == 0
+        assert built.count("margfit") <= 1
+
+
+class TestHelp:
+    # No digests: argparse's help layout differs between Python versions.
+    @pytest.mark.parametrize(
+        "command", [[], ["estimate"], ["adjust"], ["asymptotics"], ["simulate"], ["case-study"], ["ipf"]]
+    )
+    def test_help_exits_0_with_stable_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, "--help"])
+            assert excinfo.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: margfit") and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
