@@ -35,7 +35,6 @@ from .simulation import (
     ExperimentGrid,
     GridCell,
     MarginalReplicates,
-    STUDY_MARGINALS,
     asymptotic_reduction,
     default_log_cpr_grid,
     replicate_marginal_estimates,
@@ -75,7 +74,6 @@ __all__ = [
     "MarginalDistribution",
     "MarginalReplicates",
     "SampleBatch",
-    "STUDY_MARGINALS",
     "WeightVector",
     "adjust_to_known_marginal",
     "adjusted_marginal_covariance",

@@ -251,10 +251,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        # A missing path (an input, or the directory of --out) or an input
-        # that cannot be read, a directory say, is a parse error; any other
-        # failure to write the output is not.
-        if text is None or isinstance(exc, FileNotFoundError):
+        # An input that is missing or cannot be read, a directory say, is a
+        # parse error; a failure to write --out, whatever its cause, is not.
+        if text is None:
             print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)

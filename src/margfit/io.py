@@ -11,8 +11,9 @@ emitted file re-parses to the exact in-memory value. Formats:
 * marginal: a single data line, either probabilities summing to 1 or
   nonnegative integer counts (auto-normalized; the mode is recorded).
 * sectioned report: repeated ``#section=<name> rows=<r> cols=<c> kind=...``
-  blocks, used for the estimate/adjust/asymptotics/ipf outputs. Scalars are
-  1x1 sections, vectors one row; bool values are ``kind=int`` (0/1).
+  blocks, used for the estimate/adjust/asymptotics/ipf outputs. Section
+  names are unique; ``kind=int`` values are int64. Scalars are 1x1 sections,
+  vectors one row; bool values are ``kind=int`` (0/1).
 * experiment grid: one CSV row per grid cell; the trailing ``error`` column
   is empty for cells that computed cleanly.
 * case study: percentage columns rounded to 4 significant digits next to
@@ -111,7 +112,48 @@ def _data_lines(lines: list[str], start: int):
         yield line_no, stripped
 
 
-def _parse_table_header(lines: list[str], source: str) -> tuple[int, int]:
+def _row(text: str, source: str, line_no: int, n_cols: int | None, convert) -> list:
+    """``convert`` of each comma-separated value of line ``line_no``, which
+    must have ``n_cols`` values (any number when None; a blank line has none).
+    A ValueError from ``convert`` is a parse error on that line."""
+    tokens = [t.strip() for t in text.split(",")] if text.strip() or n_cols else []
+    if n_cols is not None and len(tokens) != n_cols:
+        raise ParseError(source, line_no, f"expected {n_cols} columns, got {len(tokens)}")
+    try:
+        return [convert(token) for token in tokens]
+    except ValueError as exc:
+        raise ParseError(source, line_no, str(exc)) from None
+
+
+def _int(token: str, noun: str = "integer") -> int:
+    """The int64 value of a decimal integer token; ``noun`` names the value
+    in the out-of-range message."""
+    if not _INT_RE.match(token):
+        raise ValueError(f"not an integer: {token!r}")
+    value = int(token)
+    if not -INT64_MAX - 1 <= value <= INT64_MAX:
+        raise ValueError(f"{noun} {value} exceeds the int64 range")
+    return value
+
+
+def _count(token: str) -> int:
+    value = _int(token, "count")
+    if value < 0:
+        raise ValueError(f"negative count: {value}")
+    return value
+
+
+def _float(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"not a number: {token!r}") from None
+
+
+def _parse_table(text: str, source: str, convert, dtype, build):
+    """``build`` of the ``#rows=<I> cols=<J>`` table in ``text``, whose cells
+    ``convert`` reads; a ValueError from ``build`` is a parse error on line 1."""
+    lines = text.splitlines()
     if not lines:
         raise ParseError(source, 1, "empty file")
     match = _TABLE_HEADER_RE.match(lines[0])
@@ -120,50 +162,37 @@ def _parse_table_header(lines: list[str], source: str) -> tuple[int, int]:
     n_rows, n_cols = int(match.group(1)), int(match.group(2))
     if n_rows < 1 or n_cols < 1:
         raise ParseError(source, 1, "table dimensions must be >= 1")
-    return n_rows, n_cols
-
-
-def _parse_table_body(lines, source, n_rows, n_cols, convert):
     rows = []
     last_line = 1
-    for line_no, text in _data_lines(lines, 1):
+    for line_no, row_text in _data_lines(lines, 1):
         last_line = line_no
         if len(rows) == n_rows:
             raise ParseError(source, line_no, f"expected {n_rows} data rows, found extra data")
-        tokens = [t.strip() for t in text.split(",")]
-        if len(tokens) != n_cols:
-            raise ParseError(
-                source, line_no, f"expected {n_cols} columns, got {len(tokens)}"
-            )
-        rows.append([convert(tok, line_no) for tok in tokens])
+        rows.append(_row(row_text, source, line_no, n_cols, convert))
     if len(rows) != n_rows:
-        raise ParseError(
-            source, last_line, f"expected {n_rows} data rows, got {len(rows)}"
-        )
-    return rows
+        raise ParseError(source, last_line, f"expected {n_rows} data rows, got {len(rows)}")
+    try:
+        return build(np.array(rows, dtype=dtype))
+    except ValueError as exc:
+        raise ParseError(source, 1, str(exc)) from None
 
 
-def _count_token(token: str, source: str, line_no: int) -> int:
-    if not _INT_RE.match(token):
-        raise ParseError(source, line_no, f"not an integer count: {token!r}")
-    value = int(token)
-    if value < 0:
-        raise ParseError(source, line_no, f"negative count: {value}")
-    if value > INT64_MAX:
-        raise ParseError(source, line_no, f"count {value} exceeds the int64 range")
-    return value
+def _int_str(x) -> str:
+    return str(int(x))
+
+
+def _rows_text(values: np.ndarray, fmt) -> list[str]:
+    """One comma-separated line per row of the 2-D ``values``."""
+    return [",".join(fmt(v) for v in row) for row in values]
+
+
+def _render_table(values: np.ndarray, fmt) -> str:
+    lines = [f"#rows={values.shape[0]} cols={values.shape[1]}"] + _rows_text(values, fmt)
+    return "\n".join(lines) + "\n"
 
 
 def parse_count_table_text(text: str, source: str = "<string>") -> CountTable:
-    lines = text.splitlines()
-    n_rows, n_cols = _parse_table_header(lines, source)
-    rows = _parse_table_body(
-        lines, source, n_rows, n_cols, lambda tok, ln: _count_token(tok, source, ln)
-    )
-    try:
-        return CountTable(np.array(rows, dtype=np.int64))
-    except ValueError as exc:
-        raise ParseError(source, 1, str(exc)) from None
+    return _parse_table(text, source, _count, np.int64, CountTable)
 
 
 def read_count_table(path) -> CountTable:
@@ -171,28 +200,11 @@ def read_count_table(path) -> CountTable:
 
 
 def render_count_table(table: CountTable) -> str:
-    lines = [f"#rows={table.dims[0]} cols={table.dims[1]}"]
-    lines += [",".join(str(int(v)) for v in row) for row in table.counts]
-    return "\n".join(lines) + "\n"
-
-
-def _float_token(token: str, source: str, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(source, line_no, f"not a number: {token!r}") from None
+    return _render_table(table.counts, _int_str)
 
 
 def parse_joint_table_text(text: str, source: str = "<string>") -> JointDistribution:
-    lines = text.splitlines()
-    n_rows, n_cols = _parse_table_header(lines, source)
-    rows = _parse_table_body(
-        lines, source, n_rows, n_cols, lambda tok, ln: _float_token(tok, source, ln)
-    )
-    try:
-        return JointDistribution(np.array(rows, dtype=np.float64))
-    except ValueError as exc:
-        raise ParseError(source, 1, str(exc)) from None
+    return _parse_table(text, source, _float, np.float64, JointDistribution)
 
 
 def read_joint_table(path) -> JointDistribution:
@@ -200,9 +212,7 @@ def read_joint_table(path) -> JointDistribution:
 
 
 def render_joint_table(table: JointDistribution) -> str:
-    lines = [f"#rows={table.n_rows} cols={table.n_cols}"]
-    lines += [",".join(_fmt(v) for v in row) for row in table.cells]
-    return "\n".join(lines) + "\n"
+    return _render_table(table.cells, _fmt)
 
 
 @dataclass(frozen=True)
@@ -223,25 +233,20 @@ def parse_marginal_text(
     if len(data) > 1:
         raise ParseError(source, data[1][0], "expected a single marginal data line")
     line_no, content = data[0]
-    tokens = [t.strip() for t in content.split(",")]
-    if all(_INT_RE.match(tok) for tok in tokens):
-        values = [_count_token(tok, source, line_no) for tok in tokens]
-        counts = np.array(values, dtype=np.int64)
+    from_counts = all(_INT_RE.match(tok) for tok in _row(content, source, line_no, None, str))
+    values = _row(content, source, line_no, None, _count if from_counts else _float)
+    if from_counts:
         total = sum(values)
         if total == 0:
             raise ParseError(source, line_no, "counts sum to zero")
-        probs = counts / total
-        normalized = True
+        probs = np.array(values, dtype=np.int64) / total
     else:
-        probs = np.array(
-            [_float_token(tok, source, line_no) for tok in tokens], dtype=np.float64
-        )
-        normalized = False
+        probs = np.array(values, dtype=np.float64)
     try:
         marginal = MarginalDistribution(probs, axis=axis)
     except ValueError as exc:
         raise ParseError(source, line_no, str(exc)) from None
-    return ParsedMarginal(marginal=marginal, normalized_from_counts=normalized)
+    return ParsedMarginal(marginal=marginal, normalized_from_counts=from_counts)
 
 
 def read_marginal(path, axis: Axis = "column") -> ParsedMarginal:
@@ -258,6 +263,8 @@ def render_marginal(marginal: MarginalDistribution) -> str:
 _SECTION_HEADER_RE = re.compile(
     r"^#section=([A-Za-z0-9_]+) rows=(\d+) cols=(\d+) kind=(float|int)\s*$"
 )
+# kind -> (reader of a value, array dtype, writer of a value)
+_SECTION_KINDS = {"int": (_int, np.int64, _int_str), "float": (_float, np.float64, _fmt)}
 
 
 def render_sections(sections: dict[str, np.ndarray]) -> str:
@@ -271,11 +278,7 @@ def render_sections(sections: dict[str, np.ndarray]) -> str:
         integral = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
         kind = "int" if integral else "float"
         out.append(f"#section={name} rows={arr.shape[0]} cols={arr.shape[1]} kind={kind}")
-        for row in arr:
-            if kind == "int":
-                out.append(",".join(str(int(v)) for v in row))
-            else:
-                out.append(",".join(_fmt(v) for v in row))
+        out += _rows_text(arr, _SECTION_KINDS[kind][2])
     return "\n".join(out) + "\n"
 
 
@@ -291,43 +294,50 @@ def parse_sections_text(text: str, source: str = "<string>") -> dict[str, np.nda
         match = _SECTION_HEADER_RE.match(line)
         if not match:
             raise ParseError(source, index + 1, f"expected a section header, got {line!r}")
-        name, n_rows, n_cols, kind = (
-            match.group(1),
-            int(match.group(2)),
-            int(match.group(3)),
-            match.group(4),
-        )
+        name, n_rows, n_cols = match.group(1), int(match.group(2)), int(match.group(3))
+        if name in sections:
+            raise ParseError(source, index + 1, f"repeated section {name!r}")
+        convert, dtype, _ = _SECTION_KINDS[match.group(4)]
         rows = []
-        for r in range(n_rows):
-            line_no = index + 2 + r
+        for line_no in range(index + 2, index + 2 + n_rows):
             if line_no > len(lines):
                 raise ParseError(source, len(lines), f"section {name!r} is truncated")
-            content = lines[line_no - 1]
-            if n_cols == 0:
-                if content.strip():
-                    raise ParseError(source, line_no, "expected an empty row")
-                rows.append([])
-                continue
-            tokens = [t.strip() for t in content.split(",")]
-            if len(tokens) != n_cols:
-                raise ParseError(
-                    source, line_no, f"expected {n_cols} columns, got {len(tokens)}"
-                )
-            if kind == "int":
-                for tok in tokens:
-                    if not _INT_RE.match(tok):
-                        raise ParseError(source, line_no, f"not an integer: {tok!r}")
-                rows.append([int(tok) for tok in tokens])
-            else:
-                rows.append([_float_token(tok, source, line_no) for tok in tokens])
-        dtype = np.int64 if kind == "int" else np.float64
+            rows.append(_row(lines[line_no - 1], source, line_no, n_cols, convert))
         sections[name] = np.array(rows, dtype=dtype).reshape(n_rows, n_cols)
         index += 1 + n_rows
     return sections
 
 
 # ---------------------------------------------------------------------------
-# Experiment grid
+# CSV tables: experiment grid and case study
+
+
+def _csv_table(text: str, source: str, first_line: int, what: str, columns, build) -> list:
+    """``build`` of each non-empty record after the ``columns`` header of the
+    CSV ``text``, which starts at line ``first_line`` of ``source``. Text the
+    csv module cannot split, a record of the wrong length and a ValueError
+    from ``build`` are parse errors."""
+    reader = csv.reader(_io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(source, first_line + reader.line_num - 1, str(exc)) from None
+    if not records:
+        raise ParseError(source, first_line, f"missing {what} header")
+    if tuple(records[0]) != columns:
+        raise ParseError(source, first_line, f"unexpected {what} header {records[0]!r}")
+    out = []
+    for line_no, record in enumerate(records[1:], start=first_line + 1):
+        if not record:
+            continue
+        if len(record) != len(columns):
+            raise ParseError(source, line_no, f"expected {len(columns)} fields")
+        try:
+            out.append(build(record))
+        except ValueError as exc:
+            raise ParseError(source, line_no, str(exc)) from None
+    return out
+
 
 # (CSV column and JSON key, GridCell attribute, type of a present value), in
 # column order. The fields GridCell requires must be present; the others are
@@ -370,32 +380,8 @@ def render_grid_csv(grid: ExperimentGrid) -> str:
     return buf.getvalue()
 
 
-def _csv_records(text: str, source: str, first_line: int) -> list[list[str]]:
-    """The CSV records of ``text``, which starts at line ``first_line`` of
-    ``source``; text the csv module cannot split is a parse error."""
-    reader = csv.reader(_io.StringIO(text))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise ParseError(source, first_line + reader.line_num - 1, str(exc)) from None
-
-
 def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
-    records = _csv_records(text, source, 1)
-    if not records:
-        raise ParseError(source, 1, "empty grid file")
-    if tuple(records[0]) != GRID_COLUMNS:
-        raise ParseError(source, 1, f"unexpected grid header {records[0]!r}")
-    cells = []
-    for line_no, row in enumerate(records[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(GRID_COLUMNS):
-            raise ParseError(source, line_no, f"expected {len(GRID_COLUMNS)} fields")
-        try:
-            cells.append(_grid_cell(row, ""))
-        except ValueError as exc:
-            raise ParseError(source, line_no, str(exc)) from None
+    cells = _csv_table(text, source, 1, "grid", GRID_COLUMNS, lambda r: _grid_cell(r, ""))
     return ExperimentGrid(cells=tuple(cells))
 
 
@@ -417,9 +403,6 @@ def grid_from_json_dict(data: dict) -> ExperimentGrid:
     return ExperimentGrid(cells=tuple(cells))
 
 
-# ---------------------------------------------------------------------------
-# Case study
-
 CASE_STUDY_COLUMNS = (
     "row",
     "phat_pct",
@@ -429,6 +412,8 @@ CASE_STUDY_COLUMNS = (
     "ptilde_raw",
     "rel_diff_raw",
 )
+# The JSON keys of a case-study row, in order.
+_CASE_STUDY_FIELDS = tuple(f.name for f in fields(CaseStudyRow))
 
 
 def _pct(x: float) -> str:
@@ -457,6 +442,12 @@ def render_case_study_csv(result: CaseStudyResult) -> str:
     return buf.getvalue()
 
 
+def _case_study_row(record: list[str]) -> CaseStudyRow:
+    """The row of the raw (last three) columns of a case-study CSV record."""
+    phat, ptilde, rel = record[4:]
+    return CaseStudyRow(float(phat), float(ptilde), float(rel) if rel else None)
+
+
 def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyResult:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#zero_columns="):
@@ -466,52 +457,22 @@ def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyR
         mask = frozenset(int(tok) for tok in mask_text.split(",") if tok.strip())
     except ValueError:
         raise ParseError(source, 1, f"not a list of column indices: {mask_text!r}") from None
-    records = _csv_records("\n".join(lines[1:]), source, 2)
-    if not records:
-        raise ParseError(source, 2, "missing case-study header")
-    if tuple(records[0]) != CASE_STUDY_COLUMNS:
-        raise ParseError(source, 2, f"unexpected case-study header {records[0]!r}")
-    rows = []
-    for line_no, row in enumerate(records[1:], start=3):
-        if not row:
-            continue
-        if len(row) != len(CASE_STUDY_COLUMNS):
-            raise ParseError(source, line_no, f"expected {len(CASE_STUDY_COLUMNS)} fields")
-        try:
-            rows.append(
-                CaseStudyRow(
-                    phat=float(row[4]),
-                    ptilde=float(row[5]),
-                    relative_difference_pct=float(row[6]) if row[6] else None,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(source, line_no, str(exc)) from None
+    rows = _csv_table(
+        "\n".join(lines[1:]), source, 2, "case-study", CASE_STUDY_COLUMNS, _case_study_row
+    )
     return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)
 
 
 def case_study_to_json_dict(result: CaseStudyResult) -> dict:
     return {
         "zero_columns": sorted(result.zero_column_mask),
-        "rows": [
-            {
-                "phat": row.phat,
-                "ptilde": row.ptilde,
-                "relative_difference_pct": row.relative_difference_pct,
-            }
-            for row in result.rows
-        ],
+        "rows": [{key: getattr(row, key) for key in _CASE_STUDY_FIELDS} for row in result.rows],
     }
 
 
 def case_study_from_json_dict(data: dict) -> CaseStudyResult:
     rows = tuple(
-        CaseStudyRow(
-            phat=entry["phat"],
-            ptilde=entry["ptilde"],
-            relative_difference_pct=entry["relative_difference_pct"],
-        )
-        for entry in data["rows"]
+        CaseStudyRow(**{key: entry[key] for key in _CASE_STUDY_FIELDS}) for entry in data["rows"]
     )
     return CaseStudyResult(rows=rows, zero_column_mask=frozenset(data["zero_columns"]))
 

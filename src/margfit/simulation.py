@@ -65,7 +65,6 @@ __all__ = [
     "CHUNK_REPLICATIONS",
     "DEFAULT_N_GRID",
     "DEFAULT_REPLICATIONS",
-    "STUDY_MARGINALS",
     "default_log_cpr_grid",
     "ExperimentConfig",
     "GridCell",
@@ -86,14 +85,6 @@ CHUNK_REPLICATIONS = 4096
 
 DEFAULT_N_GRID = (20, 100, 1000, 10000)
 DEFAULT_REPLICATIONS = 20000
-
-# The three marginal configurations of the study: (row marginal, column marginal).
-STUDY_MARGINALS = {
-    "I": ((0.5, 0.5), (0.5, 0.5)),
-    "II": ((0.9, 0.1), (0.7, 0.3)),
-    "III": ((0.2, 0.8), (0.7, 0.3)),
-}
-
 
 def default_log_cpr_grid() -> tuple[float, ...]:
     """25 equispaced log cross-product ratios spanning [-5, 5]."""

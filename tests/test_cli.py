@@ -489,6 +489,13 @@ class TestUnreadableInputExitCode:
         assert code == 2 and out == ""
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
+    def test_out_in_a_missing_directory_is_a_write_error(self, capsys, counts_file, tmp_path):
+        out_path = tmp_path / "nodir" / "x.csv"
+        code, out, err = run(capsys, "estimate", "--counts", counts_file, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert str(out_path) in err
+
 
 def _pinned_digests():
     (mark,) = [m for m in TestOutputBytesPinned.test_stdout.pytestmark if m.name == "parametrize"]

@@ -164,6 +164,12 @@ class TestSectionedFormat:
         with pytest.raises(ParseError, match="section header"):
             parse_sections_text("not a header\n")
 
+    def test_repeated_section_name_rejected_at_second_header(self):
+        text = "#section=a rows=1 cols=1 kind=int\n1\n#section=a rows=1 cols=1 kind=float\n0.5\n"
+        with pytest.raises(ParseError, match="repeated section 'a'") as info:
+            parse_sections_text(text, "r.csv")
+        assert (info.value.source, info.value.line) == ("r.csv", 3)
+
 
 def tiny_grid():
     cfg = ExperimentConfig(
@@ -296,6 +302,10 @@ class TestInt64Range:
     def test_marginal_count_beyond_int64_reports_line(self):
         with pytest.raises(ParseError, match=r"m\.csv:2: count .* exceeds the int64 range"):
             parse_marginal_text("# counts\n9223372036854775808,1\n", "m.csv")
+
+    def test_int_section_value_beyond_int64_reports_line(self):
+        with pytest.raises(ParseError, match=r"s\.csv:2: .*exceeds the int64 range"):
+            parse_sections_text("#section=a rows=1 cols=1 kind=int\n9223372036854775808", "s.csv")
 
 
 class TestNonUtf8Input:

@@ -66,6 +66,7 @@ TEXTS = st.one_of(LINES.map("\n".join), st.text(max_size=40))
 # every run tries them whatever the generator draws.
 @example(text="#zero_columns=a")
 @example(text="\r0")
+@example(text="#section=a rows=1 cols=1 kind=int\n9223372036854775808")
 def test_parser_returns_or_raises_parse_error(parse, text):
     try:
         parse(text)
