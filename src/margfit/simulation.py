@@ -28,14 +28,22 @@ col_sum[j]`` from j = 0 upward, the order of numpy's ``sum(axis=2)`` over
 the ``(size, I, J)`` products for up to 7 columns, so the bits equal that
 reduction's. From 8 columns numpy sums pairwise; the two agree to 1e-14.
 
-:func:`replicate_weighted_frequencies` draws blocks of at most ~4e6
-category draws (``4_000_000 // n`` replications of n observations); block
-c is keyed by ``spawn_key=(c,)``. A uniform draw u in [0, 1) falls in
-category x = #{edges <= u}, with ``edges = cumsum(probs)`` and ``edges[-1]``
-clamped to 1. This is the rule of ``np.searchsorted(edges, u, side="right")``;
-the kernel applies it with one threshold compare per edge into buffers
-reused across blocks, and its output bits equal those of the searchsorted
-form, which the tests keep as the reference.
+:func:`replicate_weighted_frequencies` draws blocks of
+``max(1, WEIGHTED_BLOCK_DRAWS // n)`` replications of n observations, so a
+block holds at most 2**18 category draws (one replication when n is larger)
+and its buffers stay in cache; block c is keyed by ``spawn_key=(c,)``. The
+blocks are shared out over W threads, one per available core and at most
+one per block: worker k draws blocks k, k + W, k + 2W, ... into its own
+buffers and writes those replications' rows of the output, so the schedule
+never touches the bits. A uniform draw u in [0, 1) falls in category
+x = #{edges <= u}, with ``edges = cumsum(probs)`` and ``edges[-1]`` clamped
+to 1. This is the rule of ``np.searchsorted(edges, u, side="right")``; the
+kernel applies it with one threshold compare per edge. The weighted
+frequency of category i is the numpy row sum of ``1{x == i} * w``, which
+adds each row on its own in an order fixed by n. A BLAS matrix-vector
+product is avoided because its bits depend on the BLAS thread count and on
+the block's row count; this sum depends on the seed and inputs only. The
+tests keep the searchsorted form as the reference and require equal bits.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .tables import (
 
 __all__ = [
     "CHUNK_REPLICATIONS",
+    "WEIGHTED_BLOCK_DRAWS",
     "DEFAULT_N_GRID",
     "DEFAULT_REPLICATIONS",
     "default_log_cpr_grid",
@@ -82,6 +91,11 @@ __all__ = [
 # Replication block size; part of the determinism contract (changing it
 # changes which stream serves which replication).
 CHUNK_REPLICATIONS = 4096
+
+# Category draws per block of replicate_weighted_frequencies, which draws
+# blocks of max(1, WEIGHTED_BLOCK_DRAWS // n) replications; part of the
+# determinism contract in the same way.
+WEIGHTED_BLOCK_DRAWS = 2**18
 
 DEFAULT_N_GRID = (20, 100, 1000, 10000)
 DEFAULT_REPLICATIONS = 20000
@@ -294,7 +308,9 @@ def replicate_weighted_frequencies(
 
     Each replication draws len(weights) i.i.d. categories from ``probs`` and
     forms sum_t w_t * 1{x_t == i}. Used to check the slower convergence rate
-    of non-uniformly weighted estimates.
+    of non-uniformly weighted estimates. The blocks of replications run on
+    one thread per available core; the output bits do not depend on how
+    many.
     """
     if not isinstance(probs, MarginalDistribution):
         probs = MarginalDistribution(probs, axis="row")
@@ -307,28 +323,33 @@ def replicate_weighted_frequencies(
     n_categories = probs.shape[0]
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard the last edge against rounding
-    # Fixed blocking policy: at most ~4e6 category draws per block.
-    block = max(1, 4_000_000 // n)
+    w = weights.weights
+    block = max(1, WEIGHTED_BLOCK_DRAWS // n)
+    bounds = _chunk_bounds(replications, block)
+    workers = min(_available_cores(), len(bounds))
     rows = min(block, replications)
-    draws = np.empty((rows, n))
-    below = np.empty((rows, n), dtype=bool)
-    below_prev = np.empty((rows, n), dtype=bool)
-    member = np.empty((rows, n))
     out = np.empty((replications, n_categories))
-    for c, start, size in _chunk_bounds(replications, block):
-        rng = _stream(seed, (c,))
-        u = rng.random(out=draws[:size])
-        below_prev[:size] = False
-        for i in range(n_categories):
-            # edges[:-1] never decrease and every u < 1.0 = edges[-1], so
-            # "u < edges[i]" switches on at most once as i grows: x == i
-            # exactly where below is set and below_prev is not. The float64
-            # member keeps the weighted sum a BLAS product on a C-contiguous
-            # 0/1 matrix, which the pinned output bits depend on.
-            np.less(u, edges[i], out=below[:size])
-            np.greater(below[:size], below_prev[:size], out=member[:size])
-            out[start : start + size, i] = member[:size] @ weights.weights
-            below, below_prev = below_prev, below
+
+    def run_worker(k: int) -> None:
+        draws = np.empty((rows, n))
+        below = np.empty((rows, n), dtype=bool)
+        below_prev = np.empty((rows, n), dtype=bool)
+        member = np.empty((rows, n))
+        for c, start, size in bounds[k::workers]:
+            rng = _stream(seed, (c,))
+            u = rng.random(out=draws[:size])
+            below_prev[:size] = False
+            for i in range(n_categories):
+                # edges[:-1] never decrease and every u < 1.0 = edges[-1], so
+                # "u < edges[i]" switches on at most once as i grows: x == i
+                # exactly where below is set and below_prev is not.
+                np.less(u, edges[i], out=below[:size])
+                np.greater(below[:size], below_prev[:size], out=member[:size])
+                member[:size] *= w
+                member[:size].sum(axis=1, out=out[start : start + size, i])
+                below, below_prev = below_prev, below
+
+    _map_threads(run_worker, workers, workers)
     return out
 
 
@@ -381,6 +402,15 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _map_threads(task, count: int, workers: int) -> list:
+    """``[task(k) for k in range(count)]`` on ``workers`` threads; one worker
+    runs the tasks in order on the calling thread, with no pool."""
+    if workers == 1:
+        return [task(k) for k in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, range(count)))
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentGrid:
     """Run the full (n, log cpr) grid of ``cfg``.
 
@@ -416,12 +446,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             n, lc, asym_pct, target, reps.phat_rows[:, 0], reps.ptilde_rows[:, 0], reps.excluded
         )
 
-    if workers == 1:
-        cells = [run_cell(k) for k in range(len(points))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, range(len(points))))
-    return ExperimentGrid(cells=tuple(cells))
+    return ExperimentGrid(cells=tuple(_map_threads(run_cell, len(points), workers)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -186,22 +188,23 @@ class TestRunExperiment:
         assert abs(cell.bias_tilde) < 5 * se + 1e-3
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every pool that the simulation starts."""
+    started = []
+
+    class RecordingPool(simulation.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
 class TestDefaultWorkers:
     """``run_experiment(cfg)`` uses one thread per available core, at most
     one per grid cell; one worker runs on the calling thread, with no pool."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The ``max_workers`` of every pool that run_experiment starts."""
-        started = []
-
-        class RecordingPool(simulation.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
-        return started
 
     @staticmethod
     def set_cores(monkeypatch, cores):
@@ -369,14 +372,14 @@ class TestExperimentConfigRefusesTruncation:
 
 class TestWeightedFrequencyBlocksPinned:
     def test_output_digest(self):
-        # 1000 observations make blocks of 4_000_000 // 1000 = 4000
-        # replications, so 9000 replications span two full blocks and a
-        # partial one, each drawn from the stream keyed (block index,).
+        # 1000 observations make blocks of 2**18 // 1000 = 262 replications,
+        # so 9000 replications span 34 full blocks and a partial one of 92,
+        # each drawn from the stream keyed (block index,).
         ramp = np.arange(1, 1001, dtype=float)
         weights = WeightVector(ramp / ramp.sum())
         expected = {
-            (0.3, 0.7): "245bb9396b638164d270a32604b67181864630f085872afea2c188dc5e8f5673",
-            (0.2, 0.5, 0.3): "1003803722a413a0123d0b4ec063dff676ac4f833f49748b0809b0f134520642",
+            (0.3, 0.7): "76a99e6be9d5c90570a782b67c27bda381620afdb0747b7897a8942ff0c22727",
+            (0.2, 0.5, 0.3): "d2ef7e5253b66b0294ce5fb0ec37da5930e24489b91a782fef9a0f0361a5db66",
         }
         for probs, digest in expected.items():
             out = replicate_weighted_frequencies(list(probs), weights, 9000, seed=6)
@@ -391,7 +394,7 @@ def searchsorted_weighted_frequencies(probs, weights, replications, seed):
     n = w.shape[0]
     edges = np.cumsum(probs)
     edges[-1] = 1.0
-    block = max(1, 4_000_000 // n)
+    block = max(1, 2**18 // n)
     out = np.empty((replications, probs.shape[0]))
     for c, start in enumerate(range(0, replications, block)):
         size = min(block, replications - start)
@@ -399,7 +402,7 @@ def searchsorted_weighted_frequencies(probs, weights, replications, seed):
         draws = np.random.Generator(np.random.Philox(seq)).random((size, n))
         xs = np.searchsorted(edges, draws, side="right")
         for i in range(probs.shape[0]):
-            out[start : start + size, i] = (xs == i).astype(np.float64) @ w
+            out[start : start + size, i] = ((xs == i) * w).sum(axis=1)
     return out
 
 
@@ -441,6 +444,14 @@ class TestWeightedKernelMatchesSearchsorted:
                 want = searchsorted_weighted_frequencies(probs, weights, 40, seed=n)
                 assert np.array_equal(got, want)
 
+    def test_more_observations_than_a_block_holds(self):
+        # 300000 > 2**18 observations make one-replication blocks.
+        weights = random_weights(np.random.default_rng(17), 300000)
+        probs = [0.2, 0.3, 0.5]
+        got = replicate_weighted_frequencies(probs, weights, 3, seed=41)
+        want = searchsorted_weighted_frequencies(probs, weights, 3, seed=41)
+        assert np.array_equal(got, want)
+
     def test_several_blocks_with_a_partial_last_block(self):
         # 3000 observations make blocks of 1333 replications: 3000
         # replications are two full blocks and one of 334.
@@ -449,6 +460,52 @@ class TestWeightedKernelMatchesSearchsorted:
         got = replicate_weighted_frequencies(probs, weights, 3000, seed=31)
         want = searchsorted_weighted_frequencies(probs, weights, 3000, seed=31)
         assert np.array_equal(got, want)
+
+
+class TestWeightedWorkers:
+    """``replicate_weighted_frequencies`` shares its blocks over one thread
+    per available core, at most one per block; the bits never change."""
+
+    def test_worker_count_is_bit_identical(self, pools, monkeypatch):
+        # 1000 observations make blocks of 262 replications: 2000 are 8 blocks.
+        weights = random_weights(np.random.default_rng(3), 1000)
+        probs = [0.15, 0.35, 0.5]
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for cores in (1, 3, 8):
+                monkeypatch.setattr(simulation, "_available_cores", lambda: cores)
+                outputs.append(replicate_weighted_frequencies(probs, weights, 2000, seed=23))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [3, 8]
+        for out in outputs[1:]:
+            assert np.array_equal(out, outputs[0])
+
+    def test_one_block_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(simulation, "_available_cores", lambda: 4)
+        replicate_weighted_frequencies([0.5, 0.5], WeightVector.uniform(1000), 262, seed=1)
+        assert pools == []
+
+    def test_blas_thread_count_is_bit_identical(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from margfit import WeightVector, replicate_weighted_frequencies\n"
+            "ramp = np.arange(1, 10001, dtype=float)\n"
+            "out = replicate_weighted_frequencies([0.3, 0.7], WeightVector(ramp / ramp.sum()), 60, 7)\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(simulation.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestReplicationArgumentsRefused:
