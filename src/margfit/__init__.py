@@ -37,6 +37,7 @@ from .simulation import (
     MarginalReplicates,
     asymptotic_reduction,
     default_log_cpr_grid,
+    exact_reduction,
     replicate_marginal_estimates,
     replicate_weighted_frequencies,
     run_case_study,
@@ -87,6 +88,7 @@ __all__ = [
     "default_log_cpr_grid",
     "effective_sample_factor",
     "empirical_joint",
+    "exact_reduction",
     "expected_conditional_covariance",
     "ipf_column_step",
     "ipf_fit",

@@ -295,9 +295,9 @@ class TestSimulateOutputPinned:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("I", "99eeafa9772157646db5e07be6e88a1ddfb077dfc86900ef27a31a2add6d8c0b"),
-            ("II", "b8293faf68fa9b48a675973809de509659a8515a2dd3b79e4b70b1acabe0bc75"),
-            ("III", "fdde69c72ba1936c9d935318e8f38bfbe70676e137db9c5106da38a883d9d8f4"),
+            ("I", "23d5679ce2867d6c476bec4c3c353f7365229ef50aa7b2eaf72bf397eb4a7af4"),
+            ("II", "fedeb8ff84580cd7e38c090639de8965382cebd7c6ffb7774562f9ccb04eb062"),
+            ("III", "90b5f4f80c118710dfe0e7a36f6db094d95003e337ca18ad351825937be34189"),
         ],
     )
     def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
@@ -443,7 +443,7 @@ class TestOutputBytesPinned:
             ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
             ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
             ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
-            ("simulate", "json", "e3d8207ddb3d173f373be1f8b4a3ee91f781812cf4cb906c1ed8000c09353a90"),
+            ("simulate", "json", "084ba2248eadf092115ff575830d64b79ed82cc8dfddb7ba7a04d51bd9201d4d"),
         ],
     )
     def test_stdout(self, capsys, tmp_path, monkeypatch, command, fmt, digest):

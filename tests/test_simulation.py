@@ -19,6 +19,7 @@ from margfit import (
     build_2x2_from_marginals_cpr,
     column_marginal,
     effective_sample_factor,
+    exact_reduction,
     marginal_covariance,
     multinomial_covariance,
     replicate_marginal_estimates,
@@ -27,7 +28,7 @@ from margfit import (
     run_experiment,
 )
 import margfit.simulation as simulation
-from margfit.io import load_destatis2014, load_gidas_table3
+from margfit.io import load_destatis2014, load_gidas_table3, load_study_config
 from margfit.simulation import CHUNK_REPLICATIONS, _chunk_estimates, _stream
 from margfit.tables import PROB_TOL, CountTable, empirical_joint, row_marginal
 
@@ -59,6 +60,127 @@ class TestAsymptoticReduction:
     def test_row_index_validated(self):
         with pytest.raises(ValueError, match="out of range"):
             asymptotic_reduction(SYMMETRIC_2X2, 2)
+
+
+def study_table(case, log_cpr):
+    cfg = load_study_config(case)
+    col = marg(cfg.col_marginal)
+    return build_2x2_from_marginals_cpr(marg(cfg.row_marginal, "row"), col, math.exp(log_cpr)), col
+
+
+def enumerated_reduction(table, n):
+    """Variance reduction over every count table of size n with both columns
+    observed, weighted by its multinomial probability."""
+    (p11, p12), (p21, p22) = table.cells
+    b = p11 + p21
+    prob, phat, ptilde = [], [], []
+    for n11 in range(n + 1):
+        for n12 in range(n + 1 - n11):
+            for n21 in range(n + 1 - n11 - n12):
+                n22 = n - n11 - n12 - n21
+                if n11 + n21 == 0 or n12 + n22 == 0:
+                    continue
+                ways = math.factorial(n) // (
+                    math.factorial(n11) * math.factorial(n12) * math.factorial(n21) * math.factorial(n22)
+                )
+                prob.append(ways * p11**n11 * p12**n12 * p21**n21 * p22**n22)
+                phat.append((n11 + n12) / n)
+                ptilde.append(b * n11 / (n11 + n21) + (1 - b) * n12 / (n12 + n22))
+    prob = np.array(prob) / sum(prob)
+
+    def var(x):
+        x = np.array(x)
+        return prob @ (x - prob @ x) ** 2
+
+    return 1.0 - var(ptilde) / var(phat)
+
+
+class TestExactReduction:
+    @pytest.mark.parametrize(
+        "n, pct", [(20, -0.474), (100, 9.048), (1000, 10.556), (10000, 10.699)]
+    )
+    def test_case_two_cpr_nine(self, n, pct):
+        table, _ = study_table("II", math.log(9.0))
+        assert 100.0 * exact_reduction(table, n) == pytest.approx(pct, abs=5e-4)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_enumeration_of_all_tables(self, n):
+        rng = np.random.default_rng(n)
+        tables = [study_table("II", math.log(9.0))[0], SYMMETRIC_2X2]
+        tables += [JointDistribution(rng.dirichlet(np.ones(4)).reshape(2, 2)) for _ in range(3)]
+        for table in tables:
+            assert exact_reduction(table, n) == pytest.approx(
+                enumerated_reduction(table, n), rel=1e-10, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("log_cpr", [-4.0, 0.0, math.log(9.0), 3.0])
+    def test_approaches_asymptotic_value(self, case, log_cpr):
+        # The finite-n penalty shrinks like 1/n: n * (exact - asymptotic)
+        # settles to a negative constant.
+        table, _ = study_table(case, log_cpr)
+        asym = asymptotic_reduction(table)
+        scaled = [n * (exact_reduction(table, n) - asym) for n in (100, 1000, 10000)]
+        assert all(-3.0 < s < 0.0 for s in scaled)
+        assert abs(scaled[2] - scaled[1]) < 0.1 * abs(scaled[1] - scaled[0]) + 1e-6
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_independent_table_loses_one_over_n(self, case):
+        table, _ = study_table(case, 0.0)
+        assert 10000 * exact_reduction(table, 10000) == pytest.approx(-1.0, rel=1e-3)
+
+    def test_refuses_tables_that_are_not_two_by_two(self):
+        table = outer_product_table(np.random.default_rng(1), 2, 3)
+        with pytest.raises(ValueError, match="2x2"):
+            exact_reduction(table, 100)
+
+    @pytest.mark.parametrize("n", [1, 0, -5, 2.5, True])
+    def test_refuses_sample_sizes_below_two(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            exact_reduction(SYMMETRIC_2X2, n)
+
+    def test_refuses_an_empty_column(self):
+        with pytest.raises(ValueError, match="column"):
+            exact_reduction(JointDistribution([[0.6, 0.0], [0.4, 0.0]]), 10)
+
+    def test_refuses_a_degenerate_row(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            exact_reduction(JointDistribution([[0.6, 0.4], [0.0, 0.0]]), 10)
+
+
+class TestMonteCarloMatchesExact:
+    """Each MC reduction of cases I-III lies within 4 delta-method standard
+    errors of :func:`exact_reduction`. The SE is that of the ratio of the
+    included replications' squared deviations, so it shrinks with the
+    replication count and no band is chosen by hand."""
+
+    REPLICATIONS = 20000
+
+    def test_cases_one_to_three(self):
+        z_scores = {}
+        cells = [
+            (case, n, lc)
+            for case in ("I", "II", "III")
+            for n in (20, 100, 1000)
+            for lc in (-4.0, -2.0, 0.0, math.log(9.0), 3.0)
+        ]
+        for k, (case, n, lc) in enumerate(cells):
+            table, col = study_table(case, lc)
+            reps = replicate_marginal_estimates(
+                table, col, n, self.REPLICATIONS, seed=2016, stream_key=(k,)
+            )
+            included = ~reps.excluded
+            phat = reps.phat_rows[included, 0]
+            ptilde = reps.ptilde_rows[included, 0]
+            dev_hat = (phat - phat.mean()) ** 2
+            dev_tilde = (ptilde - ptilde.mean()) ** 2
+            ratio = dev_tilde.sum() / dev_hat.sum()
+            se = np.std(dev_tilde - ratio * dev_hat, ddof=1) / (
+                math.sqrt(included.sum()) * dev_hat.mean()
+            )
+            z_scores[case, n, lc] = ((1.0 - ratio) - exact_reduction(table, n)) / se
+        worst = max(z_scores, key=lambda cell: abs(z_scores[cell]))
+        assert abs(z_scores[worst]) < 4.0, (worst, z_scores[worst])
 
 
 class TestExperimentConfig:
@@ -378,8 +500,8 @@ class TestWeightedFrequencyBlocksPinned:
         ramp = np.arange(1, 1001, dtype=float)
         weights = WeightVector(ramp / ramp.sum())
         expected = {
-            (0.3, 0.7): "76a99e6be9d5c90570a782b67c27bda381620afdb0747b7897a8942ff0c22727",
-            (0.2, 0.5, 0.3): "d2ef7e5253b66b0294ce5fb0ec37da5930e24489b91a782fef9a0f0361a5db66",
+            (0.3, 0.7): "77ebda6099082834fd21243cafe875d95e05fff9b29c4c3289e988233a8be333",
+            (0.2, 0.5, 0.3): "88f49738df6b22f915623e3bb93ca80470376ba15c2cf12857181bfc6898f416",
         }
         for probs, digest in expected.items():
             out = replicate_weighted_frequencies(list(probs), weights, 9000, seed=6)
@@ -399,7 +521,7 @@ def searchsorted_weighted_frequencies(probs, weights, replications, seed):
     for c, start in enumerate(range(0, replications, block)):
         size = min(block, replications - start)
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(c,))
-        draws = np.random.Generator(np.random.Philox(seq)).random((size, n))
+        draws = np.random.Generator(np.random.PCG64DXSM(seq)).random((size, n))
         xs = np.searchsorted(edges, draws, side="right")
         for i in range(probs.shape[0]):
             out[start : start + size, i] = ((xs == i) * w).sum(axis=1)
