@@ -30,6 +30,7 @@ __all__ = [
     "adjusted_marginal_covariance",
     "expected_conditional_covariance",
     "variance_gap_quadratic",
+    "variance_reduction",
     "chi2_reduction_bound",
     "effective_sample_factor",
 ]
@@ -146,6 +147,19 @@ def variance_gap_quadratic(
     overall = float(cond_mean @ col)
     direct = float(col @ (cond_mean - overall) ** 2)
     return gap, direct
+
+
+def variance_reduction(plain, adjusted) -> np.ndarray:
+    """(plain - adjusted) / plain, elementwise: the share of each plain
+    variance that the adjustment removes, given matching diagonal entries of
+    :func:`marginal_covariance` and :func:`adjusted_marginal_covariance`.
+
+    Raises when a plain variance is zero, i.e. its row has probability 0 or 1.
+    """
+    plain = np.asarray(plain)
+    if (plain == 0.0).any():
+        raise ValueError("row marginal is degenerate; variance is zero")
+    return (plain - adjusted) / plain
 
 
 def chi2_reduction_bound(p: JointDistribution) -> float:

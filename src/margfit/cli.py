@@ -24,6 +24,7 @@ from .asymptotics import (
     adjusted_marginal_covariance,
     chi2_reduction_bound,
     marginal_covariance,
+    variance_reduction,
 )
 from .estimators import adjust_to_known_marginal, adjusted_row_marginal, ipf_fit
 from .io import (
@@ -42,7 +43,9 @@ from .io import (
     render_sections,
     write_text,
 )
-from .simulation import asymptotic_reduction, run_case_study, run_experiment
+# asymptotic_reduction is not called here; benchmarks/tracing.py wraps it
+# under this module's name.
+from .simulation import asymptotic_reduction, run_case_study, run_experiment  # noqa: F401
 from .tables import column_marginal, empirical_joint, row_marginal
 
 __all__ = ["main", "build_parser"]
@@ -103,9 +106,9 @@ def _cmd_asymptotics(args) -> dict:
         "adjusted_covariance": adjusted,
         "variance_gap": plain - adjusted,
         "chi2_bound": chi2_reduction_bound(table),
-        "asymptotic_reduction_pct": np.array(
-            [100.0 * asymptotic_reduction(table, i) for i in range(table.n_rows)]
-        ),
+        # every row's asymptotic_reduction, read off the two matrices above
+        "asymptotic_reduction_pct": 100.0
+        * variance_reduction(plain.diagonal(), adjusted.diagonal()),
     }
 
 

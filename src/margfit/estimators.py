@@ -173,9 +173,9 @@ class AdjustedTable:
     __eq__ = _fields_equal
 
 
-def _scale_columns_to(cells: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Multiply each column so its sum hits the target; empty columns stay zero."""
-    col_sums = cells.sum(axis=0)
+def _scale_columns(cells: np.ndarray, col_sums: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Multiply each column of ``cells``, whose sums are ``col_sums``, so its
+    sum hits the target; empty columns stay zero."""
     scale = np.divide(
         target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0
     )
@@ -190,7 +190,7 @@ def ipf_column_step(table: JointDistribution, col_target: MarginalDistribution) 
     """
     if len(col_target) != table.n_cols:
         raise ValueError("target length must match the number of columns")
-    return _scale_columns_to(table.cells, col_target.probs)
+    return _scale_columns(table.cells, table.cells.sum(axis=0), col_target.probs)
 
 
 def adjust_to_known_marginal(
@@ -208,10 +208,12 @@ def adjust_to_known_marginal(
             f"known marginal has length {len(col)} but the table has {phat.n_cols} columns"
         )
     col.require_positive("known column marginal")
-    cells = ipf_column_step(phat, col)
-    empty = np.flatnonzero(phat.cells.sum(axis=0) == 0.0)
+    col_sums = phat.cells.sum(axis=0)
+    empty = np.flatnonzero(col_sums == 0.0)
     return AdjustedTable(
-        cells=cells, known_col_marginal=col, zero_column_mask=frozenset(int(j) for j in empty)
+        cells=_scale_columns(phat.cells, col_sums, col.probs),
+        known_col_marginal=col,
+        zero_column_mask=frozenset(int(j) for j in empty),
     )
 
 
@@ -226,9 +228,14 @@ def adjusted_row_marginal(t: AdjustedTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IpfResult:
+    """An IPF fit. ``max_deviation`` is the largest absolute deviation of
+    either marginal of ``table`` from its target: below ``tol`` exactly when
+    ``converged``."""
+
     table: JointDistribution
     iterations: int
     converged: bool
+    max_deviation: float
 
 
 def ipf_fit(
@@ -246,7 +253,8 @@ def ipf_fit(
     exactly. Iterates until the largest absolute deviation of either
     marginal from its target drops below ``tol`` or ``max_iter`` full
     iterations have run. Zero cells stay zero and cross-product ratios of
-    positive cells are preserved at every step.
+    positive cells are preserved at every step. Each pass sums the columns
+    once, for both the convergence test and the column step.
     """
     if len(row_target) != init.n_rows or len(col_target) != init.n_cols:
         raise ValueError("target marginal lengths must match the table dims")
@@ -258,25 +266,23 @@ def ipf_fit(
     max_iter = _integer(max_iter, "max_iter", 0)
 
     cells = init.cells
-    if (cells.sum(axis=1) == 0.0).any() or (cells.sum(axis=0) == 0.0).any():
+    row_sums, col_sums = cells.sum(axis=1), cells.sum(axis=0)
+    if (row_sums == 0.0).any() or (col_sums == 0.0).any():
         raise ValueError(
             "structurally infeasible: a row/column with positive target has no initial mass"
         )
 
     rows = row_target.probs
     cols = col_target.probs
-
-    def deviation(c: np.ndarray) -> float:
-        return max(
-            float(np.abs(c.sum(axis=1) - rows).max()),
-            float(np.abs(c.sum(axis=0) - cols).max()),
-        )
-
     for iteration in range(max_iter + 1):
-        if deviation(cells) < tol:
-            return IpfResult(JointDistribution(cells), iteration, True)
+        deviation = max(
+            float(np.abs(row_sums - rows).max()), float(np.abs(col_sums - cols).max())
+        )
+        if deviation < tol:
+            return IpfResult(JointDistribution(cells), iteration, True, deviation)
         if iteration == max_iter:
             break
-        cells = _scale_columns_to(cells, cols)
+        cells = _scale_columns(cells, col_sums, cols)
         cells = cells * (rows / cells.sum(axis=1))[:, None]
-    return IpfResult(JointDistribution(cells), max_iter, False)
+        row_sums, col_sums = cells.sum(axis=1), cells.sum(axis=0)
+    return IpfResult(JointDistribution(cells), max_iter, False, deviation)

@@ -23,6 +23,7 @@ emitted file re-parses to the exact in-memory value. Formats:
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
 import json
 import re
@@ -177,17 +178,16 @@ def _parse_table(text: str, source: str, convert, dtype, build):
         raise ParseError(source, 1, str(exc)) from None
 
 
-def _int_str(x) -> str:
-    return str(int(x))
+def _rows_text(values: np.ndarray) -> list[str]:
+    """One comma-separated line per row of the 2-D ``values``: integers in
+    decimal (bools as 0/1), floats in shortest round-trip form."""
+    if values.dtype == np.bool_:
+        values = values.astype(np.int64)
+    return [",".join(map(repr, row)) for row in values.tolist()]
 
 
-def _rows_text(values: np.ndarray, fmt) -> list[str]:
-    """One comma-separated line per row of the 2-D ``values``."""
-    return [",".join(fmt(v) for v in row) for row in values]
-
-
-def _render_table(values: np.ndarray, fmt) -> str:
-    lines = [f"#rows={values.shape[0]} cols={values.shape[1]}"] + _rows_text(values, fmt)
+def _render_table(values: np.ndarray) -> str:
+    lines = [f"#rows={values.shape[0]} cols={values.shape[1]}"] + _rows_text(values)
     return "\n".join(lines) + "\n"
 
 
@@ -200,7 +200,7 @@ def read_count_table(path) -> CountTable:
 
 
 def render_count_table(table: CountTable) -> str:
-    return _render_table(table.counts, _int_str)
+    return _render_table(table.counts)
 
 
 def parse_joint_table_text(text: str, source: str = "<string>") -> JointDistribution:
@@ -212,7 +212,7 @@ def read_joint_table(path) -> JointDistribution:
 
 
 def render_joint_table(table: JointDistribution) -> str:
-    return _render_table(table.cells, _fmt)
+    return _render_table(table.cells)
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ def render_marginal(marginal: MarginalDistribution) -> str:
 _SECTION_HEADER_RE = re.compile(
     r"^#section=([A-Za-z0-9_]+) rows=(\d+) cols=(\d+) kind=(float|int)\s*$"
 )
-# kind -> (reader of a value, array dtype, writer of a value)
-_SECTION_KINDS = {"int": (_int, np.int64, _int_str), "float": (_float, np.float64, _fmt)}
+# kind -> (reader of a value, array dtype)
+_SECTION_KINDS = {"int": (_int, np.int64), "float": (_float, np.float64)}
 
 
 def render_sections(sections: dict[str, np.ndarray]) -> str:
@@ -278,7 +278,7 @@ def render_sections(sections: dict[str, np.ndarray]) -> str:
         integral = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
         kind = "int" if integral else "float"
         out.append(f"#section={name} rows={arr.shape[0]} cols={arr.shape[1]} kind={kind}")
-        out += _rows_text(arr, _SECTION_KINDS[kind][2])
+        out += _rows_text(arr)
     return "\n".join(out) + "\n"
 
 
@@ -297,7 +297,7 @@ def parse_sections_text(text: str, source: str = "<string>") -> dict[str, np.nda
         name, n_rows, n_cols = match.group(1), int(match.group(2)), int(match.group(3))
         if name in sections:
             raise ParseError(source, index + 1, f"repeated section {name!r}")
-        convert, dtype, _ = _SECTION_KINDS[match.group(4)]
+        convert, dtype = _SECTION_KINDS[match.group(4)]
         rows = []
         for line_no in range(index + 2, index + 2 + n_rows):
             if line_no > len(lines):
@@ -498,11 +498,18 @@ def bundled_data_text(name: str) -> str:
     return files("margfit").joinpath("data", name).read_text(encoding="utf-8")
 
 
+# The bundled loaders parse their file once per process and return the same
+# value on every call after that; the values are frozen and their arrays
+# read-only, so sharing them is safe.
+
+
+@functools.cache
 def load_gidas_table3() -> CountTable:
     """The bundled GIDAS speed-reduction x injury-severity count table."""
     return parse_count_table_text(bundled_data_text("gidas_table3.csv"), "gidas_table3.csv")
 
 
+@functools.cache
 def load_destatis2014() -> MarginalDistribution:
     """The bundled 2014 national injury-severity marginal (normalized counts)."""
     parsed = parse_marginal_text(
@@ -511,6 +518,7 @@ def load_destatis2014() -> MarginalDistribution:
     return parsed.marginal
 
 
+@functools.cache
 def load_study_config(case: str) -> ExperimentConfig:
     """Bundled simulation configs for the marginal configurations I, II, III."""
     name = f"case{case.upper()}.json"

@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import adjusted_marginal_covariance, marginal_covariance
+from .asymptotics import adjusted_marginal_covariance, marginal_covariance, variance_reduction
 from .estimators import WeightVector, adjust_to_known_marginal, adjusted_row_marginal
 from .tables import (
     CountTable,
@@ -378,9 +378,7 @@ def asymptotic_reduction(p: JointDistribution, row: int = 0) -> float:
         raise ValueError(f"row index {row} out of range")
     plain = marginal_covariance(p).entries[row, row]
     adjusted = adjusted_marginal_covariance(p).entries[row, row]
-    if plain == 0.0:
-        raise ValueError("row marginal is degenerate; variance is zero")
-    return float((plain - adjusted) / plain)
+    return float(variance_reduction(plain, adjusted))
 
 
 def exact_reduction(p: JointDistribution, n: int) -> float:

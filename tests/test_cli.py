@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -5,10 +6,23 @@ import threading
 import numpy as np
 import pytest
 
+import margfit.asymptotics as asymptotics
 import margfit.cli as cli
 import margfit.simulation as simulation
+from helpers import random_joint
+from margfit import asymptotic_reduction
 from margfit.cli import main
-from margfit.io import parse_case_study_csv_text, parse_grid_csv_text, parse_sections_text, write_text
+from margfit.io import (
+    load_destatis2014,
+    load_gidas_table3,
+    load_study_config,
+    parse_case_study_csv_text,
+    parse_grid_csv_text,
+    parse_sections_text,
+    read_joint_table,
+    render_joint_table,
+    write_text,
+)
 
 
 @pytest.fixture
@@ -292,6 +306,7 @@ class TestSimulateOutputPinned:
     # sha256 of the stdout of `margfit simulate --config caseX.json` at the
     # bundled seed and replications: any change to the streams, the blocking
     # or the aggregation order shows up here.
+    # The ids name the case only, so a new digest keeps the test's name.
     @pytest.mark.parametrize(
         "case, digest",
         [
@@ -299,6 +314,7 @@ class TestSimulateOutputPinned:
             ("II", "fedeb8ff84580cd7e38c090639de8965382cebd7c6ffb7774562f9ccb04eb062"),
             ("III", "90b5f4f80c118710dfe0e7a36f6db094d95003e337ca18ad351825937be34189"),
         ],
+        ids=["I", "II", "III"],
     )
     def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
         monkeypatch.chdir(tmp_path)
@@ -425,26 +441,32 @@ _PINNED_COMMANDS = {
 }
 
 
+# sha256 of stdout for small fixed inputs, in both formats: the CLI's output
+# path may change shape, its bytes may not.
+_PINNED_DIGESTS = [
+    ("estimate", "csv", "5ec90ad9d0a7f73a43e958ed3354d8d67ee5ec53851129c46ecdb2e3db7ea847"),
+    ("estimate", "json", "aee05d5634e7dd33a9b83810bcfcbbd4470173368b10adefba7941fa72397a02"),
+    ("adjust", "csv", "161b3026fb361a65a33a80f45e28e3e3a4cb537e25b74ed9fe478c8c9b866364"),
+    ("adjust", "json", "636aa95839f9789fe2729495757619ed9f812352b004bfaa5f0aabf0d66e01c6"),
+    ("asymptotics", "csv", "f884ba410acad28e8e0e5bd19f5eb9e7790bd869b368eb15f50f1691239cefa8"),
+    ("asymptotics", "json", "597ec751fedd2cbf5d1310de95fb2d81be2b278a1f6c17ea7289c080edcc8367"),
+    ("ipf", "csv", "2143049a2d5b559b77e21b0195a570a2cc402ea02069ee4a05f0285d05bb26ea"),
+    ("ipf", "json", "fc9162ab71549fc3d3749f0fb59e06c723995e6b093c31ffa9da7e738280fc81"),
+    ("ipf-not-converged", "csv", "4befa8e033534d3e2a56e55c535eb0fc0ea7dfaeab9889ec3e2454c22b100808"),
+    ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
+    ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
+    ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
+    ("simulate", "json", "084ba2248eadf092115ff575830d64b79ed82cc8dfddb7ba7a04d51bd9201d4d"),
+]
+
+
 class TestOutputBytesPinned:
-    # sha256 of stdout for small fixed inputs, in both formats: the CLI's
-    # output path may change shape, its bytes may not.
+    # The ids name the command and format only, so a new digest keeps the
+    # test's name.
     @pytest.mark.parametrize(
         "command, fmt, digest",
-        [
-            ("estimate", "csv", "5ec90ad9d0a7f73a43e958ed3354d8d67ee5ec53851129c46ecdb2e3db7ea847"),
-            ("estimate", "json", "aee05d5634e7dd33a9b83810bcfcbbd4470173368b10adefba7941fa72397a02"),
-            ("adjust", "csv", "161b3026fb361a65a33a80f45e28e3e3a4cb537e25b74ed9fe478c8c9b866364"),
-            ("adjust", "json", "636aa95839f9789fe2729495757619ed9f812352b004bfaa5f0aabf0d66e01c6"),
-            ("asymptotics", "csv", "f884ba410acad28e8e0e5bd19f5eb9e7790bd869b368eb15f50f1691239cefa8"),
-            ("asymptotics", "json", "597ec751fedd2cbf5d1310de95fb2d81be2b278a1f6c17ea7289c080edcc8367"),
-            ("ipf", "csv", "2143049a2d5b559b77e21b0195a570a2cc402ea02069ee4a05f0285d05bb26ea"),
-            ("ipf", "json", "fc9162ab71549fc3d3749f0fb59e06c723995e6b093c31ffa9da7e738280fc81"),
-            ("ipf-not-converged", "csv", "4befa8e033534d3e2a56e55c535eb0fc0ea7dfaeab9889ec3e2454c22b100808"),
-            ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
-            ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
-            ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
-            ("simulate", "json", "084ba2248eadf092115ff575830d64b79ed82cc8dfddb7ba7a04d51bd9201d4d"),
-        ],
+        _PINNED_DIGESTS,
+        ids=[f"{command}-{fmt}" for command, fmt, _ in _PINNED_DIGESTS],
     )
     def test_stdout(self, capsys, tmp_path, monkeypatch, command, fmt, digest):
         monkeypatch.chdir(tmp_path)
@@ -497,11 +519,6 @@ class TestUnreadableInputExitCode:
         assert str(out_path) in err
 
 
-def _pinned_digests():
-    (mark,) = [m for m in TestOutputBytesPinned.test_stdout.pytestmark if m.name == "parametrize"]
-    return mark.args[1]
-
-
 class TestParserReuse:
     def test_one_parser_serves_every_request(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -519,7 +536,7 @@ class TestParserReuse:
         code, out, err = run(capsys, "estimate", "--counts", "bad.csv")
         assert (code, out) == (2, "") and err.startswith("parse error:")
 
-        for command, fmt, digest in _pinned_digests():
+        for command, fmt, digest in _PINNED_DIGESTS:
             code, out, _ = run(capsys, *_PINNED_COMMANDS[command], "--format", fmt)
             assert code == 0
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fmt)
@@ -564,3 +581,66 @@ class TestHelp:
             assert captured.out.startswith("usage: margfit") and captured.err == ""
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+
+class TestAsymptoticsComputesOnce:
+    def test_two_covariance_matrices_per_request(self, capsys, monkeypatch, tmp_path):
+        built = []
+        validate = asymptotics.CovarianceMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.entries.shape)
+            validate(self)
+
+        monkeypatch.setattr(asymptotics.CovarianceMatrix, "__post_init__", counting)
+        table = random_joint(np.random.default_rng(61), 5, 4)
+        write_text(tmp_path / "t.csv", render_joint_table(table))
+        code, _, _ = run(capsys, "asymptotics", "--table", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert built == [(5, 5), (5, 5)]
+
+    def test_reduction_equals_asymptotic_reduction_bit_for_bit(self, capsys, tmp_path):
+        rng = np.random.default_rng(67)
+        path = tmp_path / "t.csv"
+        for _ in range(40):
+            write_text(path, render_joint_table(random_joint(rng, max_dim=8)))
+            table = read_joint_table(path)
+            code, out, _ = run(capsys, "asymptotics", "--table", str(path))
+            assert code == 0
+            pct = parse_sections_text(out)["asymptotic_reduction_pct"]
+            expected = [100.0 * asymptotic_reduction(table, i) for i in range(table.n_rows)]
+            assert pct.tolist() == [expected]
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--table", "#rows=1 cols=3\n0.2,0.3,0.5\n"), ("--counts", "#rows=1 cols=3\n2,3,5\n")],
+    )
+    def test_one_row_table_is_degenerate(self, capsys, tmp_path, flag, text):
+        write_text(tmp_path / "one.csv", text)
+        code, out, err = run(capsys, "asymptotics", flag, str(tmp_path / "one.csv"))
+        assert (code, out) == (3, "")
+        assert err == "error: row marginal is degenerate; variance is zero\n"
+
+
+class TestBundledLoadersShareOneValue:
+    def test_cached_arrays_are_read_only(self, capsys):
+        _, before, _ = run(capsys, "case-study")
+        table, marginal = load_gidas_table3(), load_destatis2014()
+        assert load_gidas_table3() is table and load_destatis2014() is marginal
+        with pytest.raises(ValueError, match="read-only"):
+            table.counts[0, 0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            marginal.probs[:] = 1.0 / len(marginal)
+        code, after, _ = run(capsys, "case-study")
+        assert code == 0 and after == before
+
+    def test_cached_config_is_frozen(self):
+        cfg = load_study_config("II")
+        assert load_study_config("II") is cfg
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+
+    def test_unknown_case_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown study case"):
+                load_study_config("IV")

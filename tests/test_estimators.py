@@ -311,6 +311,85 @@ class TestIpfTolerance:
         assert ipf_fit(table, rows, cols, max_iter=5.0) == ipf_fit(table, rows, cols, max_iter=5)
 
 
+def deviation(cells, row_target, col_target):
+    return max(
+        float(np.abs(cells.sum(axis=1) - row_target.probs).max()),
+        float(np.abs(cells.sum(axis=0) - col_target.probs).max()),
+    )
+
+
+def reference_ipf(init, row_target, col_target, tol, max_iter):
+    """(cells, iterations, converged) from the IPF loop written out in full,
+    summing both marginals afresh for every convergence test and step."""
+    cells = init.cells
+    rows, cols = row_target.probs, col_target.probs
+    for iteration in range(max_iter + 1):
+        if deviation(cells, row_target, col_target) < tol:
+            return cells, iteration, True
+        if iteration == max_iter:
+            break
+        col_sums = cells.sum(axis=0)
+        cells = cells * np.divide(cols, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
+        cells = cells * (rows / cells.sum(axis=1))[:, None]
+    return cells, max_iter, False
+
+
+def random_ipf_problem(rng):
+    table = random_joint(rng, max_dim=8)
+    if rng.random() < 0.5:  # zero cells, each row and column keeping some mass
+        cells = table.cells * (rng.random(table.dims) < 0.7)
+        cells[np.arange(table.n_rows), rng.integers(table.n_cols, size=table.n_rows)] += 0.1
+        cells[rng.integers(table.n_rows, size=table.n_cols), np.arange(table.n_cols)] += 0.1
+        table = JointDistribution(cells / cells.sum())
+    return (table, *random_targets(rng, table))
+
+
+def random_targets(rng, table):
+    rows = 0.05 + rng.random(table.n_rows)
+    cols = 0.05 + rng.random(table.n_cols)
+    return marg(rows / rows.sum(), "row"), marg(cols / cols.sum())
+
+
+class TestIpfMatchesReference:
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-300])
+    def test_bit_for_bit(self, max_iter, tol):
+        rng = np.random.default_rng(max_iter + 1000 * int(-np.log10(tol)))
+        for _ in range(25):
+            table, rows, cols = random_ipf_problem(rng)
+            result = ipf_fit(table, rows, cols, tol=tol, max_iter=max_iter)
+            cells, iterations, converged = reference_ipf(table, rows, cols, tol, max_iter)
+            assert np.array_equal(result.table.cells, cells)
+            assert (result.iterations, result.converged) == (iterations, converged)
+
+
+class TestIpfMaxDeviation:
+    def test_below_tol_when_converged(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            table = bounded_random_joint(rng)
+            rows, cols = random_targets(rng, table)
+            result = ipf_fit(table, rows, cols, tol=1e-10)
+            assert result.converged
+            assert result.max_deviation < 1e-10
+            assert result.max_deviation == deviation(result.table.cells, rows, cols)
+
+    def test_at_least_tol_when_not_converged(self):
+        table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        rows, cols = marg([0.2, 0.8], "row"), marg([0.7, 0.3])
+        result = ipf_fit(table, rows, cols, max_iter=0)
+        assert not result.converged and result.max_deviation >= 1e-10
+        assert result.max_deviation == deviation(table.cells, rows, cols)
+        result = ipf_fit(table, rows, cols, tol=1e-300, max_iter=3)
+        assert not result.converged and result.max_deviation >= 1e-300
+        assert result.max_deviation == deviation(result.table.cells, rows, cols)
+
+    def test_fixed_point_reads_zero(self):
+        table = JointDistribution(np.full((2, 2), 0.25))
+        result = ipf_fit(table, marg([0.5, 0.5], "row"), marg([0.5, 0.5]))
+        assert (result.iterations, result.max_deviation) == (0, 0.0)
+
+
 class TestWeightVectorUniform:
     def test_size_must_be_a_positive_integer(self):
         for n in (0, -1, 2.5, True, "3"):

@@ -61,6 +61,16 @@ class TestAsymptoticReduction:
         with pytest.raises(ValueError, match="out of range"):
             asymptotic_reduction(SYMMETRIC_2X2, 2)
 
+    def test_another_degenerate_row_does_not_matter(self):
+        cells = [[0.3, 0.2], [0.1, 0.4]]
+        table = JointDistribution(cells + [[0.0, 0.0]])
+        for row in (0, 1):
+            assert asymptotic_reduction(table, row) == pytest.approx(
+                asymptotic_reduction(JointDistribution(cells), row), rel=1e-12
+            )
+        with pytest.raises(ValueError, match="degenerate"):
+            asymptotic_reduction(table, 2)
+
 
 def study_table(case, log_cpr):
     cfg = load_study_config(case)
