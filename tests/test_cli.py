@@ -306,7 +306,6 @@ class TestSimulateOutputPinned:
     # sha256 of the stdout of `margfit simulate --config caseX.json` at the
     # bundled seed and replications: any change to the streams, the blocking
     # or the aggregation order shows up here.
-    # The ids name the case only, so a new digest keeps the test's name.
     @pytest.mark.parametrize(
         "case, digest",
         [
@@ -314,7 +313,6 @@ class TestSimulateOutputPinned:
             ("II", "fedeb8ff84580cd7e38c090639de8965382cebd7c6ffb7774562f9ccb04eb062"),
             ("III", "90b5f4f80c118710dfe0e7a36f6db094d95003e337ca18ad351825937be34189"),
         ],
-        ids=["I", "II", "III"],
     )
     def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
         monkeypatch.chdir(tmp_path)
@@ -461,13 +459,7 @@ _PINNED_DIGESTS = [
 
 
 class TestOutputBytesPinned:
-    # The ids name the command and format only, so a new digest keeps the
-    # test's name.
-    @pytest.mark.parametrize(
-        "command, fmt, digest",
-        _PINNED_DIGESTS,
-        ids=[f"{command}-{fmt}" for command, fmt, _ in _PINNED_DIGESTS],
-    )
+    @pytest.mark.parametrize("command, fmt, digest", _PINNED_DIGESTS)
     def test_stdout(self, capsys, tmp_path, monkeypatch, command, fmt, digest):
         monkeypatch.chdir(tmp_path)
         for name, text in _PINNED_FILES.items():
