@@ -45,23 +45,31 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 Axis = Literal["row", "column"]
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int, at least ``minimum`` when one is given; bools and
-    numbers with a fractional part are refused rather than truncated."""
+def _whole(value, name: str) -> int:
+    """``value`` as an int; bools and numbers with a fractional part are
+    refused rather than truncated."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        number = int(value)
-    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
-        number = int(value)
-    else:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int (see ``_whole``), at least ``minimum`` when one is
+    given and at most the int64 maximum, so that numpy never sees a size or
+    count it cannot hold."""
+    number = _whole(value, name)
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    if number > INT64_MAX:
+        raise ValueError(f"{name} must lie in the int64 range")
     return number
 
 
 def _seed(value) -> int:
     """``value`` as a master seed: an integer in [0, 2**64)."""
-    seed = _integer(value, "seed")
+    seed = _whole(value, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return seed
@@ -340,10 +348,6 @@ def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:
     return CrossProductRatios(ratios=ratios, undefined=undefined)
 
 
-def _cpr_of(p11: float, a: float, b: float) -> float:
-    return p11 * (1.0 - a - b + p11) / ((a - p11) * (b - p11))
-
-
 def build_2x2_from_marginals_cpr(
     row: MarginalDistribution, col: MarginalDistribution, cpr: float
 ) -> JointDistribution:
@@ -355,15 +359,22 @@ def build_2x2_from_marginals_cpr(
         Length-2 marginals (a, 1-a) and (b, 1-b) with 0 < a < 1, 0 < b < 1.
     cpr : float
         Target cross-product ratio, finite and > 0. cpr = 1 yields the
-        product table; otherwise the top-left cell is the unique root of
-        (1-cpr) p^2 + (1 - a - b + cpr(a+b)) p - cpr*a*b = 0 inside the
-        Fréchet interval (max(0, a+b-1), min(a, b)).
+        product table. Otherwise the top-left cell is the root
+        (-lin + sqrt(D)) / (2(1-cpr)) of Plackett's (1965) quadratic
+        f(p) = (1-cpr) p^2 + lin p + const, where lin = 1 - a - b + cpr(a+b),
+        const = -cpr*a*b and D = lin^2 - 4(1-cpr) const. As f(lo) < 0 < f(hi)
+        on the Fréchet interval (lo, hi) = (max(0, a+b-1), min(a, b)),
+        exactly one root lies inside it, and for either sign of 1-cpr it is
+        this one. It is computed without cancellation: const/q if lin >= 0,
+        else q/(1-cpr), with q = -(lin + copysign(sqrt(D), lin))/2.
 
     Returns
     -------
     JointDistribution
         Table whose marginals match the request and whose reconstructed
-        cross-product ratio agrees with ``cpr`` to 1e-9 relative.
+        cross-product ratio agrees with ``cpr`` to 1e-9 relative. Inputs
+        for which double precision cannot give such a table raise
+        ``ValueError``.
     """
     if len(row) != 2 or len(col) != 2:
         raise ValueError("both marginals must have length 2")
@@ -378,33 +389,19 @@ def build_2x2_from_marginals_cpr(
         cells = np.array([[a * b, a * (1.0 - b)], [(1.0 - a) * b, (1.0 - a) * (1.0 - b)]])
         return JointDistribution(cells)
 
-    # Numerically stable roots of (1-cpr) p^2 + B p + C = 0.
     quad = 1.0 - cpr
     lin = 1.0 - a - b + cpr * (a + b)
     const = -cpr * a * b
-    disc = lin * lin - 4.0 * quad * const
-    if disc < 0.0:  # mathematically impossible; guard rounding
-        disc = 0.0
+    # D < 0 only by rounding; an overflow gives NaN or zero cells, refused below.
+    disc = max(lin * lin - 4.0 * quad * const, 0.0)
     q = -(lin + math.copysign(math.sqrt(disc), lin)) / 2.0
-    roots = [q / quad, const / q]
-
-    lo = max(0.0, a + b - 1.0)
-    hi = min(a, b)
-    inside = [p for p in roots if lo < p < hi]
-    if not inside:
-        inside = [p for p in roots if lo - 1e-12 <= p <= hi + 1e-12]
-    if not inside:
-        raise ValueError(f"no feasible table for marginals ({a}, {b}) and cpr {cpr}")
-    if len(inside) == 2:
-        # Near-degenerate input placed both roots inside: keep the one whose
-        # reconstructed cpr is closer to the request.
-        inside.sort(key=lambda p: abs(_cpr_of(p, a, b) - cpr))
-    p11 = inside[0]
+    p11 = const / q if lin >= 0.0 else q / quad
 
     cells = np.array([[p11, a - p11], [b - p11, 1.0 - a - b + p11]])
-    if (cells <= 0.0).any():
+    off_diagonal = (a - p11) * (b - p11)
+    if not (cells > 0.0).all() or off_diagonal == 0.0:
         raise ValueError(f"cpr {cpr} is too extreme for double precision at marginals ({a}, {b})")
-    achieved = _cpr_of(p11, a, b)
+    achieved = p11 * (1.0 - a - b + p11) / off_diagonal
     if abs(achieved - cpr) > 1e-9 * cpr:
         raise ValueError(
             f"constructed table misses cpr {cpr}: achieved {achieved!r} "

@@ -636,3 +636,70 @@ class TestBundledLoadersShareOneValue:
         for _ in range(3):
             with pytest.raises(ValueError, match="unknown study case"):
                 load_study_config("IV")
+
+
+def write_config(tmp_path, **fields):
+    cfg = {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5], **fields}
+    path = tmp_path / "cfg.json"
+    write_text(path, json.dumps(cfg))
+    return str(path)
+
+
+class TestSimulateErrorCells:
+    def test_too_extreme_cpr_is_one_error_cell(self, capsys, tmp_path):
+        # The last grid point once divided by zero and lost the whole grid.
+        fields = {
+            "row_marginal": [0.98, 0.02],
+            "col_marginal": [0.98, 0.02],
+            "n_grid": [100],
+            "replications": 200,
+            "seed": 1,
+        }
+        log_cprs = [0.0, 1.0, 37.272715500598906]
+        path = write_config(tmp_path, log_cpr_grid=log_cprs, **fields)
+        code, out, err = run(capsys, "simulate", "--config", path)
+        assert code == 0 and err == ""
+        grid = parse_grid_csv_text(out)
+        assert [cell.log_cpr for cell in grid.cells] == log_cprs
+        assert "too extreme for double precision" in grid.cells[2].error
+        # The computed cells keep their streams, so they match a grid
+        # without the extreme point line for line.
+        path = write_config(tmp_path, log_cpr_grid=log_cprs[:2], **fields)
+        _, good, _ = run(capsys, "simulate", "--config", path)
+        assert out.splitlines()[:3] == good.splitlines()
+
+    @pytest.mark.parametrize(
+        ("fields", "error"),
+        [
+            (
+                {"n_grid": [1], "replications": 10},
+                "fewer than 2 replications had all columns observed",
+            ),
+            (
+                {"n_grid": [2], "replications": 3, "seed": 3, "log_cpr_grid": [0.0]},
+                "unadjusted estimator variance is zero",
+            ),
+        ],
+    )
+    def test_aggregation_errors_exit_0(self, capsys, tmp_path, fields, error):
+        path = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, "simulate", "--config", path)
+        assert code == 0 and err == ""
+        cells = parse_grid_csv_text(out).cells
+        assert cells and all(cell.error == error for cell in cells)
+        assert all(cell.reduction_pct is None for cell in cells)
+
+
+class TestSimulateSizesBeyondInt64:
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"n_grid": [9223372036854775808]}, "each n_grid entry must lie in the int64 range"),
+            ({"replications": 1e300}, "replications must lie in the int64 range"),
+        ],
+    )
+    def test_config_is_one_parse_error_line(self, capsys, tmp_path, fields, message):
+        path = write_config(tmp_path, **fields)
+        code, out, err = run(capsys, "simulate", "--config", path)
+        assert code == 2 and out == ""
+        assert err == f"parse error: {path}:1: {message}\n"

@@ -396,3 +396,35 @@ class TestWeightVectorUniform:
             with pytest.raises(ValueError, match="^n must be"):
                 WeightVector.uniform(n)
         assert WeightVector.uniform(4.0) == WeightVector([0.25] * 4)
+
+
+class TestReachableChecks:
+    TABLE = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+
+    @pytest.mark.parametrize(
+        ("rows", "cols"),
+        [([0.2, 0.3, 0.5], [0.5, 0.5]), ([0.5, 0.5], [0.2, 0.3, 0.5]), ([1.0], [1.0])],
+    )
+    def test_ipf_targets_of_the_wrong_length(self, rows, cols):
+        with pytest.raises(ValueError) as excinfo:
+            ipf_fit(self.TABLE, marg(rows, "row"), marg(cols))
+        assert str(excinfo.value) == "target marginal lengths must match the table dims"
+
+    @pytest.mark.parametrize("cols", [[1.0], [0.2, 0.3, 0.5]])
+    def test_column_step_target_of_the_wrong_length(self, cols):
+        with pytest.raises(ValueError) as excinfo:
+            ipf_column_step(self.TABLE, marg(cols))
+        assert str(excinfo.value) == "target length must match the number of columns"
+
+    @pytest.mark.parametrize("xs", [[], np.empty(0, dtype=np.int64), [[1, 2]]])
+    def test_weighted_frequencies_without_observations(self, xs):
+        with pytest.raises(ValueError) as excinfo:
+            weighted_frequencies(xs, WeightVector.uniform(2))
+        assert str(excinfo.value) == "observations must be a non-empty vector of category labels"
+
+    def test_label_above_the_category_count(self):
+        with pytest.raises(ValueError) as excinfo:
+            weighted_frequencies([1, 4, 2], WeightVector.uniform(3), n_categories=3)
+        assert str(excinfo.value) == "label 4 exceeds n_categories=3"
+        with pytest.raises(ValueError, match="^label 2 exceeds n_categories=1$"):
+            cloned_frequencies([1, 2], CloneCounts([1, 1]), n_categories=1.0)

@@ -835,3 +835,66 @@ class TestStreamKeyRefused:
         got = self.run((np.int64(2), 3.0))
         want = self.run((2, 3))
         assert np.array_equal(got.phat_rows, want.phat_rows)
+
+
+class TestSizesBeyondInt64:
+    def test_sample_size(self):
+        col = marg([0.5, 0.5])
+        with pytest.raises(ValueError, match="^sample size must lie in the int64 range$"):
+            replicate_marginal_estimates(SYMMETRIC_2X2, col, 2**63, 4, 1)
+
+    def test_replications(self):
+        col = marg([0.5, 0.5])
+        for reps in (2**63, 1e300):
+            with pytest.raises(ValueError, match="^replications must lie in the int64 range$"):
+                replicate_marginal_estimates(SYMMETRIC_2X2, col, 10, reps, 1)
+        with pytest.raises(ValueError, match="^replications must lie in the int64 range$"):
+            replicate_weighted_frequencies([0.5, 0.5], WeightVector.uniform(4), 2**63, 1)
+
+    @pytest.mark.parametrize(
+        ("field_name", "value", "message"),
+        [
+            ("n_grid", (2**63,), "each n_grid entry must lie in the int64 range"),
+            ("n_grid", (1e19,), "each n_grid entry must lie in the int64 range"),
+            ("replications", 1e300, "replications must lie in the int64 range"),
+        ],
+    )
+    def test_config(self, field_name, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            small_config(**{field_name: value})
+        assert str(excinfo.value) == message
+
+    def test_largest_sizes_and_seeds_are_kept(self):
+        cfg = small_config(n_grid=(2**63 - 1,), replications=2**63 - 1, seed=2**64 - 1)
+        assert cfg.n_grid == (2**63 - 1,)
+        assert cfg.replications == 2**63 - 1 and cfg.seed == 2**64 - 1
+        reps = replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.5, 0.5]), 10, 4, 2**64 - 1)
+        assert reps.phat_rows.shape == (4, 2)
+
+
+class TestReachableChecks:
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"log_cpr_grid": ()}, "log_cpr_grid must be non-empty and finite"),
+            ({"log_cpr_grid": (0.0, math.inf)}, "log_cpr_grid must be non-empty and finite"),
+            ({"log_cpr_grid": (math.nan,)}, "log_cpr_grid must be non-empty and finite"),
+            ({"n_grid": (20, 0)}, "n_grid must be non-empty with entries >= 1"),
+        ],
+    )
+    def test_experiment_config(self, overrides, message):
+        with pytest.raises(ValueError) as excinfo:
+            small_config(**overrides)
+        assert str(excinfo.value) == message
+
+    def test_known_marginal_of_the_wrong_length(self):
+        with pytest.raises(ValueError) as excinfo:
+            replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.2, 0.3, 0.5]), 10, 4, 1)
+        assert str(excinfo.value) == "known marginal length must match the number of columns"
+
+    def test_find_a_missing_cell(self):
+        grid = run_experiment(small_config(n_grid=(20,), log_cpr_grid=(0.0,), replications=2))
+        assert grid.find(20, 0.0) is grid.cells[0]
+        for n, log_cpr in ((20, 1.0), (21, 0.0), (20, 1e-9)):
+            with pytest.raises(KeyError, match=f"no grid cell at n={n}, log_cpr={log_cpr}"):
+                grid.find(n, log_cpr)

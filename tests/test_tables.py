@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,6 +260,142 @@ class TestBuild2x2:
             np.testing.assert_allclose(rebuilt.cells, original.cells, atol=1e-10)
 
 
+def two_root_search(a, b, cpr):
+    """The builder's earlier root search, kept as a reference: both roots of
+    the quadratic, a search of the open Fréchet interval, a retry with 1e-12
+    of slack and a sort of near ties. Returns the cells or raises as it did,
+    ZeroDivisionError included."""
+    if cpr == 1.0:
+        return np.array([[a * b, a * (1.0 - b)], [(1.0 - a) * b, (1.0 - a) * (1.0 - b)]])
+
+    def cpr_of(p):
+        return p * (1.0 - a - b + p) / ((a - p) * (b - p))
+
+    quad = 1.0 - cpr
+    lin = 1.0 - a - b + cpr * (a + b)
+    const = -cpr * a * b
+    disc = lin * lin - 4.0 * quad * const
+    if disc < 0.0:
+        disc = 0.0
+    q = -(lin + math.copysign(math.sqrt(disc), lin)) / 2.0
+    roots = [q / quad, const / q]
+    lo = max(0.0, a + b - 1.0)
+    hi = min(a, b)
+    inside = [p for p in roots if lo < p < hi]
+    if not inside:
+        inside = [p for p in roots if lo - 1e-12 <= p <= hi + 1e-12]
+    if not inside:
+        raise ValueError("no feasible table")
+    if len(inside) == 2:
+        inside.sort(key=lambda p: abs(cpr_of(p) - cpr))
+    p11 = inside[0]
+    cells = np.array([[p11, a - p11], [b - p11, 1.0 - a - b + p11]])
+    if (cells <= 0.0).any():
+        raise ValueError("too extreme")
+    if abs(cpr_of(p11) - cpr) > 1e-9 * cpr:
+        raise ValueError("misses cpr")
+    return cells
+
+
+def assert_exact_table(cells, a, b, cpr):
+    """The float cells, read as exact rationals, have the requested
+    marginals to 1e-15 and the requested cpr to 1e-9 relative."""
+    p11, p12, p21, p22 = (Fraction(float(x)) for x in cells.ravel())
+    assert min(p11, p12, p21, p22) > 0
+    assert abs(p11 + p12 - Fraction(a)) <= Fraction(1e-15)
+    assert abs(p11 + p21 - Fraction(b)) <= Fraction(1e-15)
+    assert abs(p11 * p22 / (p12 * p21) / Fraction(cpr) - 1) <= Fraction(1e-9)
+
+
+class TestBuildMatchesTwoRootSearch:
+    # Marginals from 1e-12 to 1 - 1e-12; log cpr over [-700, 700] in steps of
+    # 20, over [-40, 40] in steps of 2, and the case below that crashed.
+    MARGINALS = (1e-12, 1e-9, 1e-6, 1e-3, 0.02, 0.2, 0.5, 0.8, 0.98)
+    MARGINALS += tuple(1.0 - m for m in MARGINALS[:4])
+    LOG_CPRS = np.unique(
+        np.r_[np.linspace(-700, 700, 71), np.linspace(-40, 40, 41), 37.272715500598906]
+    )
+
+    def test_same_cells_or_a_value_error_on_a_fixed_grid(self):
+        outcomes = {"same": 0, "both refuse": 0}
+        for a in self.MARGINALS:
+            row = marg([a, 1 - a], "row")
+            for b in self.MARGINALS:
+                col = marg([b, 1 - b], "column")
+                for log_cpr in self.LOG_CPRS:
+                    cpr = math.exp(log_cpr)
+                    try:
+                        want = two_root_search(a, b, cpr)
+                    except (ValueError, ZeroDivisionError):
+                        want = None
+                    try:
+                        got = build_2x2_from_marginals_cpr(row, col, cpr).cells
+                    except ValueError:
+                        got = None
+                    assert (got is None) == (want is None), (a, b, log_cpr)
+                    if want is None:
+                        outcomes["both refuse"] += 1
+                    else:
+                        assert got.tobytes() == want.tobytes(), (a, b, log_cpr)
+                        outcomes["same"] += 1
+        # Both outcomes are well represented on the grid.
+        assert min(outcomes.values()) > 5000
+
+    def test_random_inputs_give_a_table_or_a_value_error(self):
+        # Marginals log-uniform down to 1e-300, or up to within 1e-15 of 1, as
+        # a library caller may pass them; any other exception fails the test.
+        rng = np.random.default_rng(2024)
+        built = 0
+        for _ in range(3000):
+            a, b = (
+                10.0 ** -x if rng.random() < 0.5 else 1.0 - 10.0 ** -min(x, 15.0)
+                for x in rng.uniform(0.0, 300.0, 2) ** rng.choice([1.0, 0.5])
+            )
+            cpr = math.exp(rng.uniform(-700.0, 700.0) * rng.choice([1.0, 0.05]))
+            try:
+                table = build_2x2_from_marginals_cpr(
+                    marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr
+                )
+            except ValueError:
+                continue
+            assert_exact_table(table.cells, a, b, cpr)
+            built += 1
+        assert built > 300
+
+    @pytest.mark.parametrize(
+        ("a", "b", "cpr"),
+        [
+            # The root search divided by zero in its near-tie sort on the
+            # first and in its final cpr check on the second.
+            (0.98, 0.98, math.exp(37.272715500598906)),
+            (3.13510375609085e-295, 1.698727734994505e-97, 6.982277865761945e98),
+        ],
+    )
+    def test_inputs_the_root_search_crashed_on_raise_value_error(self, a, b, cpr):
+        with pytest.raises(ZeroDivisionError):
+            two_root_search(a, b, cpr)
+        with pytest.raises(ValueError, match="too extreme for double precision"):
+            build_2x2_from_marginals_cpr(marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr)
+
+    def test_overflowed_quadratic_is_too_extreme(self):
+        with pytest.raises(ValueError, match="too extreme for double precision"):
+            build_2x2_from_marginals_cpr(
+                marg([0.5, 0.5], "row"), marg([0.5, 0.5], "column"), 1e308
+            )
+
+    def test_a_table_the_near_tie_sort_refused_is_built(self):
+        # a + b is just above 1 and cpr is tiny: both roots fell inside the
+        # slack window, the sort kept the negative one and the cell check
+        # refused it. The root inside the interval gives a valid table.
+        a, b, cpr = 0.9999999999982968, 2.121890952889074e-12, 1.576478532102105e-17
+        with pytest.raises(ValueError, match="too extreme"):
+            two_root_search(a, b, cpr)
+        table = build_2x2_from_marginals_cpr(
+            marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr
+        )
+        assert_exact_table(table.cells, a, b, cpr)
+
+
 class TestSampleRefusesTruncation:
     def test_fractional_or_bool_n(self):
         for n in (2.5, True):
@@ -272,3 +409,14 @@ class TestSampleRefusesTruncation:
 
     def test_integral_float_and_numpy_values_accepted(self):
         assert sample(SYMMETRIC_2X2, 10.0, np.uint64(3)) == sample(SYMMETRIC_2X2, 10, 3)
+
+
+class TestSampleSizeBeyondInt64:
+    @pytest.mark.parametrize("n", [2**63, 1e19, np.uint64(2**63)])
+    def test_refused_with_the_range_message(self, n):
+        with pytest.raises(ValueError) as excinfo:
+            sample(SYMMETRIC_2X2, n, seed=1)
+        assert str(excinfo.value) == "sample size must lie in the int64 range"
+
+    def test_seeds_keep_the_full_unsigned_range(self):
+        assert sample(SYMMETRIC_2X2, 10, 2**64 - 1).total == 10
