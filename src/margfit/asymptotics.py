@@ -102,8 +102,8 @@ def adjusted_marginal_covariance(p: JointDistribution) -> CovarianceMatrix:
     Entry (k, l) is p_row[k]*1{k==l} - sum_j p[k,j] p[l,j] / p_col[j].
     """
     col = _positive_column_marginals(p)
-    row = p.cells.sum(axis=1)
-    return CovarianceMatrix(np.diag(row) - (p.cells / col) @ p.cells.T)
+    cross = [(w * p.cells).sum(axis=1) for w in p.cells / col]  # row by row: O(I*J) memory
+    return CovarianceMatrix(np.diag(p.cells.sum(axis=1)) - np.array(cross))
 
 
 def expected_conditional_covariance(p: JointDistribution) -> CovarianceMatrix:
@@ -140,12 +140,12 @@ def variance_gap_quadratic(
         raise ValueError(f"c must have length {p.n_rows}, got shape {c.shape}")
     plain = marginal_covariance(p).entries
     adjusted = adjusted_marginal_covariance(p).entries
-    gap = float(c @ (plain - adjusted) @ c)
+    gap = float((c[:, None] * (plain - adjusted) * c).sum())
 
     col = _positive_column_marginals(p)
-    cond_mean = (c @ p.cells) / col
-    overall = float(cond_mean @ col)
-    direct = float(col @ (cond_mean - overall) ** 2)
+    cond_mean = (c[:, None] * p.cells).sum(axis=0) / col
+    overall = float((cond_mean * col).sum())
+    direct = float((col * (cond_mean - overall) ** 2).sum())
     return gap, direct
 
 

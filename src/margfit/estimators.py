@@ -123,7 +123,7 @@ def cloned_frequencies(
 ) -> np.ndarray:
     """Frequencies of the artificially enlarged sample where observation t is
     repeated clones[t] times; identical to weighting by clones[t]/total."""
-    xs = np.asarray(xs)
+    xs, _ = _check_categories(xs, n_categories)
     if xs.shape[0] != len(clones):
         raise ValueError(
             f"got {xs.shape[0]} observations but {len(clones)} clone counts"

@@ -100,8 +100,8 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-_TABLE_HEADER_RE = re.compile(r"^#rows=(\d+) cols=(\d+)\s*$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_TABLE_HEADER_RE = re.compile(r"^#rows=([0-9]+) cols=([0-9]+)\s*$")
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 def _data_lines(lines: list[str], start: int):
@@ -145,10 +145,13 @@ def _count(token: str) -> int:
 
 
 def _float(token: str) -> float:
+    """float(token), refusing the underscores and non-ASCII digits float() takes."""
     try:
-        return float(token)
+        if token.isascii() and "_" not in token:
+            return float(token)
     except ValueError:
-        raise ValueError(f"not a number: {token!r}") from None
+        pass
+    raise ValueError(f"not a number: {token!r}")
 
 
 def _parse_table(text: str, source: str, convert, dtype, build):
@@ -261,7 +264,7 @@ def render_marginal(marginal: MarginalDistribution) -> str:
 # Sectioned reports (estimate / adjust / asymptotics / ipf CSV output)
 
 _SECTION_HEADER_RE = re.compile(
-    r"^#section=([A-Za-z0-9_]+) rows=(\d+) cols=(\d+) kind=(float|int)\s*$"
+    r"^#section=([A-Za-z0-9_]+) rows=([0-9]+) cols=([0-9]+) kind=(float|int)\s*$"
 )
 # kind -> (reader of a value, array dtype)
 _SECTION_KINDS = {"int": (_int, np.int64), "float": (_float, np.float64)}
@@ -354,14 +357,17 @@ _GRID_FIELDS = (
 )
 GRID_COLUMNS = tuple(column for column, _, _ in _GRID_FIELDS)
 _GRID_REQUIRED = {f.name for f in fields(GridCell) if f.default is MISSING}
+# How a present grid value of each type is read, from CSV text and from JSON.
+_CSV_READERS = {int: _int, float: _float, str: str}
+_JSON_READERS = {int: int, float: float, str: str}
 
 
-def _grid_cell(values, absent) -> GridCell:
+def _grid_cell(values, absent, readers) -> GridCell:
     """The GridCell of ``values`` in _GRID_FIELDS order, where ``absent``
     stands for None."""
     return GridCell(
         **{
-            attr: kind(value) if value != absent or attr in _GRID_REQUIRED else None
+            attr: readers[kind](value) if value != absent or attr in _GRID_REQUIRED else None
             for (_, attr, kind), value in zip(_GRID_FIELDS, values)
         }
     )
@@ -381,7 +387,9 @@ def render_grid_csv(grid: ExperimentGrid) -> str:
 
 
 def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
-    cells = _csv_table(text, source, 1, "grid", GRID_COLUMNS, lambda r: _grid_cell(r, ""))
+    cells = _csv_table(
+        text, source, 1, "grid", GRID_COLUMNS, lambda r: _grid_cell(r, "", _CSV_READERS)
+    )
     return ExperimentGrid(cells=tuple(cells))
 
 
@@ -397,7 +405,7 @@ def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig | None = No
 
 def grid_from_json_dict(data: dict) -> ExperimentGrid:
     cells = [
-        _grid_cell([entry[column] for column, _, _ in _GRID_FIELDS], None)
+        _grid_cell([entry[column] for column, _, _ in _GRID_FIELDS], None, _JSON_READERS)
         for entry in data["cells"]
     ]
     return ExperimentGrid(cells=tuple(cells))
@@ -445,7 +453,7 @@ def render_case_study_csv(result: CaseStudyResult) -> str:
 def _case_study_row(record: list[str]) -> CaseStudyRow:
     """The row of the raw (last three) columns of a case-study CSV record."""
     phat, ptilde, rel = record[4:]
-    return CaseStudyRow(float(phat), float(ptilde), float(rel) if rel else None)
+    return CaseStudyRow(_float(phat), _float(ptilde), _float(rel) if rel else None)
 
 
 def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyResult:
@@ -454,7 +462,7 @@ def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyR
         raise ParseError(source, 1, "expected a '#zero_columns=' line")
     mask_text = lines[0].split("=", 1)[1]
     try:
-        mask = frozenset(int(tok) for tok in mask_text.split(",") if tok.strip())
+        mask = frozenset(_count(tok.strip()) for tok in mask_text.split(",") if tok.strip())
     except ValueError:
         raise ParseError(source, 1, f"not a list of column indices: {mask_text!r}") from None
     rows = _csv_table(

@@ -323,8 +323,10 @@ class CrossProductRatios:
 def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:
     """Compute every cross-product ratio of the table.
 
-    A ratio touching a zero cell is flagged as undefined rather than raised:
-    zero cells are legitimate in empirical tables.
+    A ratio is defined only where both of its cross products are positive.
+    One touching a zero cell, or whose product underflows to zero, is NaN
+    and flagged as undefined rather than raised: zero cells are legitimate
+    in empirical tables.
     """
     cells = p.cells
     n_rows, n_cols = p.dims
@@ -333,18 +335,10 @@ def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:
     i, r = np.indices((n_rows, n_rows))
     j, s = np.indices((n_cols, n_cols))
     wanted = (i < r)[:, :, None, None] & (j < s)[None, None, :, :]
-    positive = (
-        (cells[:, None, :, None] > 0)
-        & (cells[None, :, None, :] > 0)
-        & (cells[None, :, :, None] > 0)
-        & (cells[:, None, None, :] > 0)
-    )
+    ok = wanted & (num > 0) & (den > 0)
     ratios = np.full(num.shape, np.nan)
-    ok = wanted & positive
     ratios[ok] = num[ok] / den[ok]
-    undefined = frozenset(
-        tuple(int(v) for v in index) for index in np.argwhere(wanted & ~positive)
-    )
+    undefined = frozenset(tuple(int(v) for v in index) for index in np.argwhere(wanted & ~ok))
     return CrossProductRatios(ratios=ratios, undefined=undefined)
 
 

@@ -309,9 +309,9 @@ class TestSimulateOutputPinned:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("I", "23d5679ce2867d6c476bec4c3c353f7365229ef50aa7b2eaf72bf397eb4a7af4"),
-            ("II", "fedeb8ff84580cd7e38c090639de8965382cebd7c6ffb7774562f9ccb04eb062"),
-            ("III", "90b5f4f80c118710dfe0e7a36f6db094d95003e337ca18ad351825937be34189"),
+            ("I", "5adad16630beec99d98a4c34d90f04cc39f0eaa3674137e54cd109e5a4f741b5"),
+            ("II", "36f4a55303aa9e41e7a8bef0ddf07c3bd524f621370640add06139bf5cf98adb"),
+            ("III", "3b39469f5993dc8679b50f9ab417b97373d3b38b02d2213d5aa93828e067d143"),
         ],
     )
     def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
@@ -399,6 +399,13 @@ class TestConfigFieldTypesExitCodes:
             code, out, err = run(capsys, "simulate", "--config", path)
             assert code == 2 and out == ""
             assert err.startswith("parse error:") and field in err
+
+    def test_non_object_config_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        write_text(path, "[1, 2]")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == f"parse error: {path}:1: experiment config must be a JSON object\n"
 
     def test_too_deeply_nested_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

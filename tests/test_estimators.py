@@ -122,6 +122,12 @@ class TestClonedFrequencies:
         with pytest.raises(ValueError, match="clone counts"):
             cloned_frequencies([1, 2, 1], CloneCounts(np.array([1, 2])))
 
+    @pytest.mark.parametrize("xs", [5, []])
+    def test_labels_must_form_a_non_empty_vector(self, xs):
+        with pytest.raises(ValueError) as excinfo:
+            cloned_frequencies(xs, CloneCounts([1]))
+        assert str(excinfo.value) == "observations must be a non-empty vector of category labels"
+
 
 class TestAdjustToKnownMarginal:
     def test_identity_when_marginal_already_matches(self):
@@ -149,6 +155,10 @@ class TestAdjustToKnownMarginal:
         assert adjusted.zero_column_mask == frozenset({1})
         np.testing.assert_allclose(adjusted.cells, [[0.35, 0.0], [0.35, 0.0]], atol=1e-15)
         assert adjusted_row_marginal(adjusted).sum() == pytest.approx(0.7, abs=1e-12)
+
+    def test_dims_are_the_source_table_dims(self):
+        table = JointDistribution([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25]])
+        assert adjust_to_known_marginal(table, marg([0.5, 0.2, 0.3])).dims == (2, 3)
 
     def test_zero_marginal_entry_rejected(self):
         table = JointDistribution(np.full((2, 2), 0.25))

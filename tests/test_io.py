@@ -335,3 +335,80 @@ class TestCsvModuleErrors:
         with pytest.raises(ParseError, match="field limit") as info:
             parse_case_study_csv_text("#zero_columns=\n" + "x" * 200_000)
         assert info.value.line == 2
+
+
+def grid_text(n="20", log_cpr="0.5", zero_columns="3"):
+    header = "n,log_cpr,reduction_pct,asymptotic_pct,bias_hat,bias_tilde,zero_columns,error"
+    return f"{header}\n{n},{log_cpr},,,,,{zero_columns},\n"
+
+
+class TestCsvRecordsReadNumbersLikeTables:
+    """The grid and case-study CSV readers take the numbers that the table
+    readers take, and refuse the ones they refuse."""
+
+    def test_valid_grid_record(self):
+        (cell,) = parse_grid_csv_text(grid_text()).cells
+        assert (cell.n, cell.log_cpr, cell.zero_column_events) == (20, 0.5, 3)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": "abc"},
+            {"n": "99999999999999999999999"},
+            {"n": "2_0"},
+            {"n": "٢٠"},
+            {"zero_columns": "1_0"},
+            {"log_cpr": "0.2_5"},
+            {"log_cpr": "٠.٥"},
+        ],
+    )
+    def test_grid_field_is_parse_error_on_its_line(self, fields):
+        with pytest.raises(ParseError) as info:
+            parse_grid_csv_text(grid_text(**fields), "g.csv")
+        assert (info.value.source, info.value.line) == ("g.csv", 2)
+
+    @pytest.mark.parametrize("mask", ["-3", "1_0", "99999999999999999999", "٣"])
+    def test_zero_column_index_is_parse_error(self, mask):
+        text = f"#zero_columns={mask}\n" + ",".join(CASE_STUDY_COLUMNS) + "\n"
+        with pytest.raises(ParseError, match="column indices") as info:
+            parse_case_study_csv_text(text)
+        assert info.value.line == 1
+
+    def test_zero_column_indices_keep_their_spaces_and_signs(self):
+        text = "#zero_columns= 0, +2\n" + ",".join(CASE_STUDY_COLUMNS) + "\n"
+        assert parse_case_study_csv_text(text).zero_column_mask == {0, 2}
+
+    def test_case_study_raw_field_is_parse_error(self):
+        text = "#zero_columns=\n" + ",".join(CASE_STUDY_COLUMNS) + "\n1,50,50,0,0.5,0.5_0,0\n"
+        with pytest.raises(ParseError, match="not a number") as info:
+            parse_case_study_csv_text(text)
+        assert info.value.line == 3
+
+
+class TestAsciiDigitsOnly:
+    def test_count_cells(self):
+        with pytest.raises(ParseError, match=":2: not an integer"):
+            parse_count_table_text("#rows=1 cols=2\n٣,٤\n")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_count_table_text, "#rows=١ cols=١\n5\n"),
+            (parse_joint_table_text, "#rows=١ cols=١\n1.0\n"),
+            (parse_sections_text, "#section=a rows=١ cols=١ kind=int\n5\n"),
+        ],
+    )
+    def test_headers(self, parse, text):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("text", ["0.2_5,0.7_5\n", "٠.٥,0.5\n", "1_0,3\n"])
+    def test_marginal_values(self, text):
+        with pytest.raises(ParseError, match=":1: not a number"):
+            parse_marginal_text(text)
+
+    def test_nan_and_inf_still_read(self):
+        text = "#section=a rows=1 cols=3 kind=float\nnan,inf,-inf\n"
+        values = parse_sections_text(text)["a"][0]
+        assert math.isnan(values[0]) and values[1:].tolist() == [math.inf, -math.inf]

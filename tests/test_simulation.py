@@ -362,6 +362,12 @@ class TestDefaultWorkers:
         run_experiment(small_config(replications=50))
         assert pools == ([] if cores == 1 else [min(cores, 4)])
 
+    @pytest.mark.parametrize("cpu_count, cores", [(6, 6), (None, 1)])
+    def test_available_cores_without_an_affinity_call(self, monkeypatch, cpu_count, cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert simulation._available_cores() == cores
+
     def test_explicit_workers_are_kept(self, pools, monkeypatch):
         self.set_cores(monkeypatch, 4)
         run_experiment(small_config(replications=50), workers=1)
@@ -638,6 +644,64 @@ class TestWeightedWorkers:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+
+class TestOutputIndependentOfBlasKernel:
+    # OpenBLAS picks its kernel by CPU; Haswell fuses multiply-adds and
+    # Sandybridge does not, so a value that went through BLAS would differ
+    # in its last bits between the two.
+    SCRIPT = (
+        "import contextlib, hashlib, io, math\n"
+        "import numpy as np\n"
+        "import margfit\n"
+        "from margfit import build_2x2_from_marginals_cpr, exact_reduction\n"
+        "from margfit.asymptotics import variance_gap_quadratic\n"
+        "from margfit.cli import main\n"
+        "from margfit.io import load_gidas_table3, load_study_config\n"
+        "from margfit.tables import MarginalDistribution, empirical_joint\n"
+        "def stdout(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(list(argv)) == 0\n"
+        "    return out.getvalue()\n"
+        "def sha(text):\n"
+        "    return hashlib.sha256(text.encode()).hexdigest()\n"
+        "gidas = margfit.__path__[0] + '/data/gidas_table3.csv'\n"
+        "print(sha(stdout('asymptotics', '--counts', gidas)))\n"
+        "print(sha(stdout('simulate', '--config', 'caseII.json', '--replications', '200')))\n"
+        "values = []\n"
+        "joint = empirical_joint(load_gidas_table3())\n"
+        "values += variance_gap_quadratic(joint, np.arange(joint.n_rows, dtype=float))\n"
+        "for case in ('I', 'II', 'III'):\n"
+        "    cfg = load_study_config(case)\n"
+        "    row = MarginalDistribution(cfg.row_marginal, axis='row')\n"
+        "    col = MarginalDistribution(cfg.col_marginal, axis='column')\n"
+        "    for lc in cfg.log_cpr_grid:\n"
+        "        table = build_2x2_from_marginals_cpr(row, col, math.exp(lc))\n"
+        "        values += variance_gap_quadratic(table, [1.0, 0.0])\n"
+        "        values += [exact_reduction(table, n) for n in cfg.n_grid]\n"
+        "print(sha(' '.join(v.hex() for v in values)))\n"
+    )
+
+    def run(self, coretype, cwd):
+        src = os.path.dirname(os.path.dirname(simulation.__file__))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cores = [line for line in proc.stderr.splitlines() if line.startswith("Core:")]
+        return cores, proc.stdout.split()
+
+    def test_haswell_and_sandybridge_give_the_same_bits(self, tmp_path):
+        haswell_core, haswell = self.run("Haswell", tmp_path)
+        sandybridge_core, sandybridge = self.run("Sandybridge", tmp_path)
+        if haswell_core == sandybridge_core:
+            pytest.skip(f"both runs used the same BLAS kernel: {haswell_core}")
+        names = ("asymptotics on GIDAS", "simulate case II", "exact/gap sweep")
+        assert len(haswell) == len(sandybridge) == len(names)
+        assert dict(zip(names, haswell)) == dict(zip(names, sandybridge))
 
 
 class TestReplicationArgumentsRefused:

@@ -186,6 +186,17 @@ class TestCrossProductRatios:
         assert (0, 1, 0, 1) in result.undefined
         assert np.isnan(result.ratios[0, 1, 0, 1])
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_product_flagged_without_warning(self):
+        # c10 * c01 = 1e-400 underflows to zero: that ratio is undefined,
+        # and the two others, whose products stay positive, are computed.
+        c = np.array([[1e-200, 1e-200, 0.5], [1e-200, 0.25, 0.25]])
+        result = cross_product_ratios(JointDistribution(c))
+        assert result.undefined == {(0, 1, 0, 1)}
+        assert np.isnan(result.ratios[0, 1, 0, 1])
+        assert result.ratios[0, 1, 0, 2] == (c[0, 0] * c[1, 2]) / (c[1, 0] * c[0, 2])
+        assert result.ratios[0, 1, 1, 2] == (c[0, 1] * c[1, 2]) / (c[1, 1] * c[0, 2])
+
     def test_scalar_requires_2x2(self):
         with pytest.raises(ValueError):
             cross_product_ratios(JointDistribution([[0.2, 0.3, 0.5]])).scalar
