@@ -41,6 +41,7 @@ from .simulation import (
     GridCell,
 )
 from .tables import INT64_MAX, Axis, CountTable, JointDistribution, MarginalDistribution
+from .tables import _integer, _real
 
 __all__ = [
     "ParseError",
@@ -142,6 +143,12 @@ def _count(token: str) -> int:
     if value < 0:
         raise ValueError(f"negative count: {value}")
     return value
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"not text: {value!r}")
 
 
 def _float(token: str) -> float:
@@ -357,9 +364,14 @@ _GRID_FIELDS = (
 )
 GRID_COLUMNS = tuple(column for column, _, _ in _GRID_FIELDS)
 _GRID_REQUIRED = {f.name for f in fields(GridCell) if f.default is MISSING}
-# How a present grid value of each type is read, from CSV text and from JSON.
+# How a present grid value of each type is read from CSV text and from JSON:
+# checked, never converted from another type.
 _CSV_READERS = {int: _int, float: _float, str: str}
-_JSON_READERS = {int: int, float: float, str: str}
+_JSON_READERS = {
+    int: lambda v: _integer(v, "grid value", -INT64_MAX - 1),
+    float: lambda v: _real(v, "grid value"),
+    str: _text,
+}
 
 
 def _grid_cell(values, absent, readers) -> GridCell:
@@ -479,10 +491,13 @@ def case_study_to_json_dict(result: CaseStudyResult) -> dict:
 
 
 def case_study_from_json_dict(data: dict) -> CaseStudyResult:
-    rows = tuple(
-        CaseStudyRow(**{key: entry[key] for key in _CASE_STUDY_FIELDS}) for entry in data["rows"]
-    )
-    return CaseStudyResult(rows=rows, zero_column_mask=frozenset(data["zero_columns"]))
+    rows = []
+    for entry in data["rows"]:
+        phat, ptilde, rel = (entry[key] for key in _CASE_STUDY_FIELDS)
+        rel = None if rel is None else _real(rel, "relative_difference_pct")
+        rows.append(CaseStudyRow(_real(phat, "phat"), _real(ptilde, "ptilde"), rel))
+    mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in data["zero_columns"])
+    return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ blocks are shared out over W threads, one per available core and at most
 one per block: worker k draws blocks k, k + W, k + 2W, ... into its own
 buffers and writes those replications' rows of the output, so the schedule
 never touches the bits. A uniform draw u in [0, 1) falls in category
-x = #{edges <= u}, with ``edges = cumsum(probs)`` and ``edges[-1]`` clamped
-to 1. This is the rule of ``np.searchsorted(edges, u, side="right")``; the
-kernel applies it with one threshold compare per edge but the last, which
-every u lies below, so x is the last category exactly where u is not below
+x = #{edges <= u}, with ``edges = cumsum(probs)`` and the last edge taken as
+1: the rule of ``np.searchsorted(edges, u, side="right")`` with that edge
+clamped. The kernel compares u with every edge but the last, which it never
+reads, so x is the last category exactly where u is not below
 ``edges[-2]``. The weighted frequency of category i is the numpy row sum of
 ``1{x == i} * w``, which adds each row on its own in an order fixed by n.
 The tests require the bits of the searchsorted form.
@@ -52,9 +52,9 @@ The tests require the bits of the searchsorted form.
 reduction over the samples with both columns observed, against which the
 tests check the Monte Carlo cells within their standard errors.
 
-No value goes through BLAS: sums of products are numpy sums in an order
-fixed by the array shapes, so bits depend on inputs, seed and numpy version
-only; OpenBLAS's Haswell, SkylakeX, Sandybridge and Prescott kernels agree.
+Values use IEEE basic operations, sqrt, numpy sums in an order fixed by array
+shapes and, for a cell's cpr, a correctly rounded :mod:`decimal` exp: no BLAS,
+and no libm exp, log or pow outside numpy's multinomial sampler (see README).
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from decimal import Context, Decimal
 from typing import Sequence
 
 import numpy as np
@@ -161,11 +162,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _seed(self.seed))
 
     def with_overrides(self, seed: int | None = None, replications: int | None = None):
-        updates = {}
-        if seed is not None:
-            updates["seed"] = seed
-        if replications is not None:
-            updates["replications"] = replications
+        given = {"seed": seed, "replications": replications}
+        updates = {k: v for k, v in given.items() if v is not None}
         return replace(self, **updates) if updates else self
 
     def to_dict(self) -> dict:
@@ -333,8 +331,7 @@ def replicate_weighted_frequencies(
     seed = _seed(seed)
     n = len(weights)
     n_categories = probs.shape[0]
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0  # guard the last edge against rounding
+    edges = np.cumsum(probs)  # edges[-1] is never read: the last edge is 1
     w = weights.weights
     block = max(1, WEIGHTED_BLOCK_DRAWS // n)
     bounds = _chunk_bounds(replications, block)
@@ -352,13 +349,13 @@ def replicate_weighted_frequencies(
             u = rng.random(out=draws[:size])
             below_prev[:size] = False
             for i in range(n_categories):
-                # edges[:-1] never decrease and every u < 1.0 = edges[-1], so
-                # "u < edges[i]" switches on at most once as i grows: x == i
-                # exactly where below is set and below_prev is not.
+                # edges[:-1] never decrease, so "u < edges[i]" switches on at
+                # most once as i grows: x == i exactly where below is set and
+                # below_prev is not.
                 if i < n_categories - 1:
                     np.less(u, edges[i], out=below[:size])
                     np.greater(below[:size], below_prev[:size], out=member[:size])
-                else:  # every u < edges[-1] = 1.0: below would be all set
+                else:  # every u < 1, the last edge: below would be all set
                     np.logical_not(below_prev[:size], out=member[:size])
                 member[:size] *= w
                 member[:size].sum(axis=1, out=out[start : start + size, i])
@@ -403,20 +400,19 @@ def exact_reduction(p: JointDistribution, n: int) -> float:
         raise ValueError("a column has zero probability; no sample observes both columns")
     q1, q2 = p11 / b, p12 / (1.0 - b)
     k = np.arange(1, n)
-    log_factorial = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
-    log_pmf = (
-        k * math.log(b)
-        + (n - k) * math.log1p(-b)
-        - log_factorial[k]
-        - log_factorial[n - k]
-    )
-    pmf = np.exp(log_pmf - log_pmf.max())
+    # ratio[k - 1] = pmf(k) / pmf(k - 1) is <= 1 above a mode m and >= 1 up
+    # to it, so the products outward from m stay <= 1.
+    m = min(max(int((n + 1) * b), 1), n - 1)
+    ratio = (n - k + 1) / k * (b / (1.0 - b))
+    below = np.cumprod(1.0 / ratio[m - 1 : 0 : -1])[::-1]
+    pmf = np.concatenate((below, [1.0], np.cumprod(ratio[m:])))
     pmf /= pmf.sum()
     v1, v2 = q1 * (1.0 - q1), q2 * (1.0 - q2)
-    var_tilde = float((pmf * (b * b * v1 / k + (1.0 - b) ** 2 * v2 / (n - k))).sum())
+    var_tilde = float((pmf * (b * b * v1 / k + (1.0 - b) * (1.0 - b) * v2 / (n - k))).sum())
     mean_k = float((pmf * k).sum())
     var_k = float((pmf * (k - mean_k) ** 2).sum())
-    var_hat = float((mean_k * v1 + (n - mean_k) * v2) / n**2 + (q1 - q2) ** 2 * var_k / n**2)
+    gap = q1 - q2
+    var_hat = float((mean_k * v1 + (n - mean_k) * v2) / (n * n) + gap * gap * var_k / (n * n))
     if var_hat == 0.0:
         raise ValueError("row marginal is degenerate; variance is zero")
     return 1.0 - var_tilde / var_hat
@@ -488,9 +484,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     def run_cell(k: int) -> GridCell:
         n, lc = points[k]
         try:
-            table = build_2x2_from_marginals_cpr(row, col, math.exp(lc))
+            cpr = float(Decimal.from_float(lc).exp(Context(prec=40, traps=[])))
+            table = build_2x2_from_marginals_cpr(row, col, cpr)
             asym_pct = 100.0 * asymptotic_reduction(table, 0)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             return GridCell(n=n, log_cpr=lc, error=str(exc))
         reps = replicate_marginal_estimates(
             table, col, n, cfg.replications, cfg.seed, stream_key=(k,)

@@ -298,8 +298,8 @@ class CrossProductRatios:
     """All cross-product ratios p[i,j]*p[r,s] / (p[r,j]*p[i,s]) with i<r, j<s.
 
     ``ratios[i, r, j, s]`` holds the ratio; every other position is NaN.
-    Ratios whose four cells are not all positive are NaN as well and their
-    indices are recorded in ``undefined`` instead of raising.
+    Ratios that are not defined (see :func:`cross_product_ratios`) are NaN
+    as well and their indices are recorded in ``undefined`` instead of raising.
     """
 
     ratios: np.ndarray
@@ -323,10 +323,10 @@ class CrossProductRatios:
 def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:
     """Compute every cross-product ratio of the table.
 
-    A ratio is defined only where both of its cross products are positive.
-    One touching a zero cell, or whose product underflows to zero, is NaN
-    and flagged as undefined rather than raised: zero cells are legitimate
-    in empirical tables.
+    A ratio is defined only where both cross products are positive and their
+    quotient is finite. Any other, touching a zero cell, with a product that
+    underflows or a quotient that overflows, is NaN and flagged as undefined
+    rather than raised: zero cells are legitimate in empirical tables.
     """
     cells = p.cells
     n_rows, n_cols = p.dims
@@ -337,8 +337,10 @@ def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:
     wanted = (i < r)[:, :, None, None] & (j < s)[None, None, :, :]
     ok = wanted & (num > 0) & (den > 0)
     ratios = np.full(num.shape, np.nan)
-    ratios[ok] = num[ok] / den[ok]
-    undefined = frozenset(tuple(int(v) for v in index) for index in np.argwhere(wanted & ~ok))
+    with np.errstate(over="ignore"):  # a subnormal denominator can overflow it
+        ratios[ok] = num[ok] / den[ok]
+    ratios[np.isinf(ratios)] = np.nan
+    undefined = frozenset(map(tuple, np.argwhere(wanted & np.isnan(ratios)).tolist()))
     return CrossProductRatios(ratios=ratios, undefined=undefined)
 
 

@@ -675,6 +675,23 @@ class TestSimulateErrorCells:
         _, good, _ = run(capsys, "simulate", "--config", path)
         assert out.splitlines()[:3] == good.splitlines()
 
+    def test_cpr_beyond_double_range_is_one_error_cell(self, capsys, tmp_path):
+        # exp overflows to inf at 710 and 1e300 and underflows to 0 at
+        # -1e300; each is refused as a cpr, and the run goes on.
+        log_cprs = [710.0, 1e300, -1e300]
+        path = write_config(tmp_path, log_cpr_grid=log_cprs, n_grid=[50], replications=20)
+        code, out, err = run(capsys, "simulate", "--config", path)
+        assert code == 0 and err == ""
+        grid = parse_grid_csv_text(out)
+        assert [cell.log_cpr for cell in grid.cells] == log_cprs
+        errors = [cell.error for cell in grid.cells]
+        assert errors == [
+            "cpr must be finite and > 0, got inf",
+            "cpr must be finite and > 0, got inf",
+            "cpr must be finite and > 0, got 0.0",
+        ]
+        assert all(cell.reduction_pct is None for cell in grid.cells)
+
     @pytest.mark.parametrize(
         ("fields", "error"),
         [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from margfit import (
+    CaseStudyRow,
     CountTable,
     ExperimentConfig,
     JointDistribution,
@@ -13,6 +14,7 @@ from margfit import (
 )
 from margfit.io import (
     CASE_STUDY_COLUMNS,
+    GRID_COLUMNS,
     ParseError,
     bundled_data_text,
     case_study_from_json_dict,
@@ -383,6 +385,66 @@ class TestCsvRecordsReadNumbersLikeTables:
         with pytest.raises(ParseError, match="not a number") as info:
             parse_case_study_csv_text(text)
         assert info.value.line == 3
+
+
+def grid_json(**fields):
+    entry = dict.fromkeys(GRID_COLUMNS)
+    entry.update(n=20, log_cpr=0.5, zero_columns=3)
+    entry.update(fields)
+    return {"cells": [entry]}
+
+
+def case_study_json(zero_columns=(), **fields):
+    row = {"phat": 0.5, "ptilde": 0.25, "relative_difference_pct": -50.0}
+    row.update(fields)
+    return {"zero_columns": list(zero_columns), "rows": [row]}
+
+
+class TestJsonRecordsCheckValues:
+    """The grid and case-study JSON readers refuse what the CSV readers
+    refuse, instead of converting it."""
+
+    def test_valid_grid_entry(self):
+        (cell,) = grid_from_json_dict(grid_json(error="boom")).cells
+        assert (cell.n, cell.log_cpr, cell.zero_column_events) == (20, 0.5, 3)
+        assert cell.reduction_pct is None and cell.error == "boom"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": 5.7},
+            {"log_cpr": "1_0"},
+            {"zero_columns": True},
+            {"n": "20"},
+            {"n": None},
+            {"n": 2**63},
+            {"n": -(2**63) - 1},
+            {"reduction_pct": False},
+            {"error": 3},
+        ],
+    )
+    def test_grid_value_refused(self, fields):
+        with pytest.raises(ValueError, match="grid value|not text"):
+            grid_from_json_dict(grid_json(**fields))
+
+    def test_valid_case_study(self):
+        data = case_study_json([0, 2], relative_difference_pct=None)
+        result = case_study_from_json_dict(data)
+        assert result.zero_column_mask == {0, 2}
+        assert result.rows[0] == CaseStudyRow(0.5, 0.25, None)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"phat": "0.5"}, {"phat": None}, {"ptilde": True}, {"relative_difference_pct": "-50"}],
+    )
+    def test_case_study_row_value_refused(self, fields):
+        with pytest.raises(ValueError, match="must be a number"):
+            case_study_from_json_dict(case_study_json(**fields))
+
+    @pytest.mark.parametrize("mask", [[1.5, True], [1.5], [True], [-3], [2**63], ["1"]])
+    def test_case_study_zero_column_entry_refused(self, mask):
+        with pytest.raises(ValueError, match="zero_columns entry"):
+            case_study_from_json_dict(case_study_json(mask))
 
 
 class TestAsciiDigitsOnly:

@@ -1,9 +1,12 @@
+import decimal
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +161,45 @@ class TestExactReduction:
             exact_reduction(JointDistribution([[0.6, 0.4], [0.0, 0.0]]), 10)
 
 
+def rational_exact_reduction(table, n):
+    """The formula of :func:`exact_reduction` evaluated in exact rationals
+    from the float values it reads: p11, p12 and the column probability
+    b = p11 + p21 rounded to a double (1 - b is then exact for b >= 0.5)."""
+    (p11, p12), (p21, _) = table.cells
+    b = Fraction(float(p11 + p21))
+    p11, p12 = Fraction(float(p11)), Fraction(float(p12))
+    q1, q2 = p11 / b, p12 / (1 - b)
+    # Bin(n, b) weights times D**n, where b = B / D: integers.
+    big_b, big_d = b.numerator, b.denominator
+    w = {k: math.comb(n, k) * big_b**k * (big_d - big_b) ** (n - k) for k in range(1, n)}
+    total = sum(w.values())
+    mean_inv_k = sum(Fraction(v, k) for k, v in w.items()) / total
+    mean_inv_rest = sum(Fraction(v, n - k) for k, v in w.items()) / total
+    mean_k = Fraction(sum(v * k for k, v in w.items()), total)
+    var_k = Fraction(sum(v * k * k for k, v in w.items()), total) - mean_k * mean_k
+    v1, v2 = q1 * (1 - q1), q2 * (1 - q2)
+    var_tilde = b * b * v1 * mean_inv_k + (1 - b) * (1 - b) * v2 * mean_inv_rest
+    var_hat = (mean_k * v1 + (n - mean_k) * v2) / (n * n) + (q1 - q2) ** 2 * var_k / (n * n)
+    return 1 - var_tilde / var_hat
+
+
+class TestExactReductionMatchesRationalOracle:
+    @staticmethod
+    def column_near(b):
+        # Column marginal (b, 1 - b), rows split 0.3/0.7 and 0.6/0.4 within columns.
+        return JointDistribution([[b * 0.3, (1 - b) * 0.6], [b * 0.7, (1 - b) * 0.4]])
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 400])
+    def test_within_1e_12_relative(self, n):
+        rng = np.random.default_rng(400 + n)
+        tables = [JointDistribution(rng.dirichlet(np.ones(4)).reshape(2, 2)) for _ in range(6)]
+        tables += [self.column_near(b) for b in (1e-9, 3e-10, 1 - 1e-9, 1 - 3e-10)]
+        for table in tables:
+            exact = rational_exact_reduction(table, n)
+            got = exact_reduction(table, n)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * abs(exact), table.cells
+
+
 class TestMonteCarloMatchesExact:
     """Each MC reduction of cases I-III lies within 4 delta-method standard
     errors of :func:`exact_reduction`. The SE is that of the ratio of the
@@ -252,6 +294,17 @@ class TestRunExperiment:
         serial = run_experiment(cfg, workers=1)
         threaded = run_experiment(cfg, workers=4)
         assert serial.cells == threaded.cells
+
+    def test_callers_decimal_context_is_neither_read_nor_changed(self):
+        # Each cell's cpr is a decimal exp in a context of its own.
+        cfg = small_config(replications=200)
+        expected = run_experiment(cfg, workers=1).cells
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.traps[decimal.FloatOperation] = True
+            ctx.clear_flags()
+            assert run_experiment(cfg, workers=1).cells == expected
+            assert not any(ctx.flags.values())
 
     def test_matches_standalone_replication_helper(self):
         cfg = small_config()
@@ -702,6 +755,50 @@ class TestOutputIndependentOfBlasKernel:
         names = ("asymptotics on GIDAS", "simulate case II", "exact/gap sweep")
         assert len(haswell) == len(sandybridge) == len(names)
         assert dict(zip(names, haswell)) == dict(zip(names, sandybridge))
+
+
+class TestOutputIndependentOfCpuMath:
+    # numpy picks its own AVX-512 exp where the CPU has it, and glibc picks
+    # FMA variants of exp and pow; a printed value computed through either
+    # would differ in its last bits between these environments. The extra
+    # config's two log cprs are points where glibc's two exp variants differ.
+    SCRIPT = TestOutputIndependentOfBlasKernel.SCRIPT + (
+        "print(sha(stdout('simulate', '--config', 'exp_points.json')))\n"
+    )
+    SETTINGS = ("NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")
+    ENVIRONMENTS = (
+        {},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2,-FMA4"},
+    )
+
+    def run(self, extra, cwd):
+        src = os.path.dirname(os.path.dirname(simulation.__file__))
+        # The default run is made without either setting, even where the
+        # calling environment has one.
+        env = {k: v for k, v in os.environ.items() if k not in self.SETTINGS}
+        env.update(extra, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_numpy_and_glibc_dispatch_give_the_same_bits(self, tmp_path):
+        config = {
+            "row_marginal": [0.3, 0.7],
+            "col_marginal": [0.6, 0.4],
+            "log_cpr_grid": [-4.0599, -2.71569],
+            "n_grid": [100],
+            "replications": 400,
+            "seed": 3,
+        }
+        (tmp_path / "exp_points.json").write_text(json.dumps(config))
+        names = ("asymptotics on GIDAS", "simulate case II", "exact/gap sweep", "simulate")
+        runs = [dict(zip(names, self.run(extra, tmp_path))) for extra in self.ENVIRONMENTS]
+        assert all(len(digests) == len(names) for digests in runs)
+        assert runs == [runs[0]] * len(runs)
 
 
 class TestReplicationArgumentsRefused:

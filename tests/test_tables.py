@@ -197,6 +197,18 @@ class TestCrossProductRatios:
         assert result.ratios[0, 1, 0, 2] == (c[0, 0] * c[1, 2]) / (c[1, 0] * c[0, 2])
         assert result.ratios[0, 1, 1, 2] == (c[0, 1] * c[1, 2]) / (c[1, 1] * c[0, 2])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_quotient_flagged_without_warning(self):
+        # The denominator 1e-160 * 1e-160 is subnormal but positive, and
+        # 0.25 / 1e-320 overflows: that ratio is undefined, not inf.
+        result = cross_product_ratios(JointDistribution([[0.5, 1e-160], [1e-160, 0.5]]))
+        assert result.undefined == {(0, 1, 0, 1)}
+        assert np.isnan(result.ratios[0, 1, 0, 1])
+        # A subnormal numerator gives a finite positive ratio, which is kept.
+        result = cross_product_ratios(JointDistribution([[1e-160, 0.5], [0.5, 1e-160]]))
+        assert result.undefined == frozenset()
+        assert result.ratios[0, 1, 0, 1] == (1e-160 * 1e-160) / (0.5 * 0.5)
+
     def test_scalar_requires_2x2(self):
         with pytest.raises(ValueError):
             cross_product_ratios(JointDistribution([[0.2, 0.3, 0.5]])).scalar
