@@ -8,45 +8,47 @@ adjustment removed, next to the analytic large-sample value.
 
 Reproducibility scheme
 ----------------------
-Each grid cell runs through :func:`replicate_marginal_estimates`, which
-draws replications in fixed blocks of ``CHUNK_REPLICATIONS``. The generator
-for block c of grid cell k is PCG64DXSM seeded with
-``SeedSequence(entropy=seed, spawn_key=(k, c))``; a replication's stream
-therefore depends only on the master seed and its own indices, never on
-scheduling. Every block gets its own seed sequence, so no stream is ever
-split or jumped, and a counter-based generator such as Philox would add
-cost and nothing else: PCG64DXSM fills uniforms more than twice as fast.
-Both Monte Carlo paths draw from :func:`_stream`. Per-replication
-estimates land in index-addressed arrays and are aggregated in a fixed
-order, so serial and parallel runs of the same configuration are
-bit-identical. ``run_experiment``'s ``workers`` threads parallelise over
-grid cells, never within one. By default they are as many as the cores the
-process may run on, capped at the number of grid cells, so ``margfit
-simulate`` uses every available core and its output bits equal those of
-the serial run.
+Both Monte Carlo paths run through one block engine, :func:`_run_blocks`.
+With blocks of B replications, block c covers replications [c*B,
+min((c+1)*B, R)) and draws from the PCG64DXSM generator seeded with
+``SeedSequence(entropy=seed, spawn_key=(*key, c))`` (:func:`_stream`).
+Worker k of W, at most one per block, runs blocks k, k + W, k + 2W, ... and
+writes only those replications' entries of index-addressed arrays, so the
+results depend on the master seed, the key and the indices, never on W.
+Every block gets its own seed sequence, so no stream is ever split or
+jumped, and a counter-based generator such as Philox would add cost and
+nothing else: PCG64DXSM fills uniforms more than twice as fast.
+:func:`replicate_marginal_estimates` uses blocks of ``CHUNK_REPLICATIONS``,
+its ``stream_key`` as the key prefix (grid cell k of :func:`run_experiment`
+passes ``(k,)``) and one worker. :func:`replicate_weighted_frequencies` uses
+blocks of ``max(1, WEIGHTED_BLOCK_DRAWS // n)`` replications of n
+observations, at most 2**18 draws (one replication when n is larger) so its
+buffers stay in cache, an empty key prefix and one worker per available core.
 
-A block is one ``multinomial(n, cells, size)`` call, reduced over strided
-column views of its ``(size, I*J)`` output. Row and column totals are exact
-integer sums; the adjusted estimate adds ``count[i, j] * known_col[j] /
-col_sum[j]`` from j = 0 upward, the order of numpy's ``sum(axis=2)`` over
-the ``(size, I, J)`` products for up to 7 columns, so the bits equal that
-reduction's. From 8 columns numpy sums pairwise; the two agree to 1e-14.
+Grid cells are aggregated in a fixed order, so serial and parallel runs of
+the same configuration are bit-identical. ``run_experiment``'s ``workers``
+threads parallelise over grid cells, never within one. By default they are
+as many as the cores the process may run on, capped at the number of grid
+cells, so ``margfit simulate`` uses every available core and its output bits
+equal those of the serial run.
 
-:func:`replicate_weighted_frequencies` draws blocks of
-``max(1, WEIGHTED_BLOCK_DRAWS // n)`` replications of n observations, so a
-block holds at most 2**18 category draws (one replication when n is larger)
-and its buffers stay in cache; block c is keyed by ``spawn_key=(c,)``. The
-blocks are shared out over W threads, one per available core and at most
-one per block: worker k draws blocks k, k + W, k + 2W, ... into its own
-buffers and writes those replications' rows of the output, so the schedule
-never touches the bits. A uniform draw u in [0, 1) falls in category
-x = #{edges <= u}, with ``edges = cumsum(probs)`` and the last edge taken as
-1: the rule of ``np.searchsorted(edges, u, side="right")`` with that edge
-clamped. The kernel compares u with every edge but the last, which it never
-reads, so x is the last category exactly where u is not below
-``edges[-2]``. The weighted frequency of category i is the numpy row sum of
-``1{x == i} * w``, which adds each row on its own in an order fixed by n.
-The tests require the bits of the searchsorted form.
+A block of :func:`replicate_marginal_estimates` is one
+``multinomial(n, cells, size)`` call, reduced over strided column views of
+its ``(size, I*J)`` output. Row and column totals are exact integer sums;
+the adjusted estimate adds ``count[i, j] * known_col[j] / col_sum[j]`` from
+j = 0 upward, the order of numpy's ``sum(axis=2)`` over the ``(size, I, J)``
+products for up to 7 columns, so the bits equal that reduction's. From 8
+columns numpy sums pairwise; the two agree to 1e-14.
+
+Each worker of :func:`replicate_weighted_frequencies` allocates its buffers
+once and draws each of its blocks into them. A uniform draw u in [0, 1)
+falls in category x = #{edges <= u}, with ``edges = cumsum(probs)`` and the
+last edge taken as 1: the rule of ``np.searchsorted(edges, u,
+side="right")`` with that edge clamped. The kernel compares u with every
+edge but the last, which it never reads, so x is the last category exactly
+where u is not below ``edges[-2]``. The weighted frequency of category i is
+the numpy row sum of ``1{x == i} * w``, which adds each row on its own in an
+order fixed by n. The tests require the bits of the searchsorted form.
 
 :func:`exact_reduction` is the exact finite-n value of a 2x2 grid cell's
 reduction over the samples with both columns observed, against which the
@@ -262,18 +264,24 @@ def _chunk_estimates(
     return phat, ptilde, excluded
 
 
-def _chunk_bounds(replications: int, block: int) -> list[tuple[int, int, int]]:
-    """(chunk index, start, size) triples covering all replications in
-    blocks of at most ``block``."""
-    return [
-        (c, start, min(block, replications - start))
-        for c, start in enumerate(range(0, replications, block))
-    ]
+def _run_blocks(seed: int, key: tuple, replications: int, block: int, kernel, workers=1) -> None:
+    """Run ``kernel`` over ``replications`` in blocks of ``block``, by the
+    block rule of the module docstring. Worker k of W = min(workers, blocks)
+    calls ``kernel`` once, with an iterator over the (rng, start, size) of its
+    blocks, so a kernel can allocate its buffers once per worker."""
+    blocks = -(-replications // block)
+    workers = min(workers, blocks)
+
+    def worker_blocks(k: int):
+        for c in range(blocks)[k::workers]:
+            yield _stream(seed, (*key, c)), c * block, min(block, replications - c * block)
+
+    _map_threads(lambda k: kernel(worker_blocks(k)), workers, workers)
 
 
 def replicate_marginal_estimates(
-    p: JointDistribution,
-    known_col: MarginalDistribution,
+    p: Sequence[Sequence[float]] | JointDistribution,
+    known_col: Sequence[float] | MarginalDistribution,
     n: int,
     replications: int,
     seed: int,
@@ -292,6 +300,10 @@ def replicate_marginal_estimates(
     if not isinstance(stream_key, tuple):
         raise ValueError(f"stream_key must be a tuple of integers, got {stream_key!r}")
     stream_key = tuple(_integer(k, "each stream_key entry", 0) for k in stream_key)
+    if not isinstance(p, JointDistribution):
+        p = JointDistribution(p)
+    if not isinstance(known_col, MarginalDistribution):
+        known_col = MarginalDistribution(known_col, axis="column")
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
         raise ValueError("known marginal length must match the number of columns")
@@ -299,12 +311,15 @@ def replicate_marginal_estimates(
     phat = np.empty((replications, p.n_rows))
     ptilde = np.empty((replications, p.n_rows))
     excluded = np.empty(replications, dtype=bool)
-    for c, start, size in _chunk_bounds(replications, CHUNK_REPLICATIONS):
-        rng = _stream(seed, (*stream_key, c))
-        ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng)
-        phat[start : start + size] = ph
-        ptilde[start : start + size] = pt
-        excluded[start : start + size] = ex
+
+    def kernel(blocks) -> None:
+        for rng, start, size in blocks:
+            ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng)
+            phat[start : start + size] = ph
+            ptilde[start : start + size] = pt
+            excluded[start : start + size] = ex
+
+    _run_blocks(seed, stream_key, replications, CHUNK_REPLICATIONS, kernel)
     return MarginalReplicates(phat_rows=phat, ptilde_rows=ptilde, excluded=excluded)
 
 
@@ -334,18 +349,15 @@ def replicate_weighted_frequencies(
     edges = np.cumsum(probs)  # edges[-1] is never read: the last edge is 1
     w = weights.weights
     block = max(1, WEIGHTED_BLOCK_DRAWS // n)
-    bounds = _chunk_bounds(replications, block)
-    workers = min(_available_cores(), len(bounds))
     rows = min(block, replications)
     out = np.empty((replications, n_categories))
 
-    def run_worker(k: int) -> None:
+    def kernel(blocks) -> None:
         draws = np.empty((rows, n))
         below = np.empty((rows, n), dtype=bool)
         below_prev = np.empty((rows, n), dtype=bool)
         member = np.empty((rows, n))
-        for c, start, size in bounds[k::workers]:
-            rng = _stream(seed, (c,))
+        for rng, start, size in blocks:
             u = rng.random(out=draws[:size])
             below_prev[:size] = False
             for i in range(n_categories):
@@ -361,7 +373,7 @@ def replicate_weighted_frequencies(
                 member[:size].sum(axis=1, out=out[start : start + size, i])
                 below, below_prev = below_prev, below
 
-    _map_threads(run_worker, workers, workers)
+    _run_blocks(seed, (), replications, block, kernel, _available_cores())
     return out
 
 

@@ -77,9 +77,13 @@ def _seed(value) -> int:
 
 def _real(value, name: str) -> float:
     """``value`` as a float; bools, strings and other non-numbers are refused
-    rather than converted."""
+    rather than converted. An int beyond the float range is a signed inf, as
+    ``float`` reads the same digits as text."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

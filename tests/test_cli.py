@@ -400,6 +400,13 @@ class TestConfigFieldTypesExitCodes:
             assert code == 2 and out == ""
             assert err.startswith("parse error:") and field in err
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_beyond_double_range_is_parse_error(self, capsys, tmp_path, sign):
+        path = self.write_config(tmp_path, log_cpr_grid=[0.0, sign * 10**400])
+        code, out, err = run(capsys, "simulate", "--config", path)
+        assert code == 2 and out == ""
+        assert err == f"parse error: {path}:1: log_cpr_grid must be non-empty and finite\n"
+
     def test_non_object_config_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         write_text(path, "[1, 2]")

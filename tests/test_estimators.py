@@ -309,6 +309,11 @@ class TestIpfTolerance:
             with pytest.raises(ValueError, match="tol"):
                 ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=tol)
 
+    def test_int_tol_beyond_double_range_rejected(self):
+        table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=10**400)
+
     def test_max_iter_and_tol_must_be_numbers(self):
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
         rows, cols = marg([0.2, 0.8], "row"), marg([0.7, 0.3])

@@ -427,6 +427,16 @@ class TestJsonRecordsCheckValues:
         with pytest.raises(ValueError, match="grid value|not text"):
             grid_from_json_dict(grid_json(**fields))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_beyond_double_range_reads_as_the_csv_digits(self, sign):
+        value = sign * 10**400
+        digits = str(value)
+        from_json = grid_from_json_dict(grid_json(log_cpr=value, reduction_pct=value))
+        header = ",".join(GRID_COLUMNS)
+        from_csv = parse_grid_csv_text(f"{header}\n20,{digits},{digits},,,,3,\n")
+        assert from_json.cells == from_csv.cells
+        assert from_json.cells[0].log_cpr == float(digits) == sign * math.inf
+
     def test_valid_case_study(self):
         data = case_study_json([0, 2], relative_difference_pct=None)
         result = case_study_from_json_dict(data)

@@ -699,6 +699,56 @@ class TestWeightedWorkers:
         assert digests[0] == digests[1]
 
 
+class TestBlockEngine:
+    """``_run_blocks`` draws block c from the stream of ``(*key, c)`` and
+    shares the blocks out over its workers without touching the bits."""
+
+    @staticmethod
+    def run(seed, key, replications, block, workers):
+        """The engine's output for a kernel writing ``rng.random(size)`` into
+        its rows, the (start, size) of each block drawn, and the number of
+        kernel calls."""
+        out = np.full(replications, np.nan)
+        drawn, calls = [], []
+
+        def kernel(blocks):
+            calls.append(1)
+            for rng, start, size in blocks:
+                drawn.append((start, size))
+                out[start : start + size] = rng.random(size)
+
+        simulation._run_blocks(seed, key, replications, block, kernel, workers)
+        return out, sorted(drawn), len(calls)
+
+    @pytest.mark.parametrize("key", [(), (5, 2)])
+    def test_worker_count_is_bit_identical(self, pools, key):
+        # 1000 replications in blocks of 96: ten full blocks and one of 40.
+        seed, reps, block = 31, 1000, 96
+        starts = range(0, reps, block)
+        want = np.concatenate(
+            [_stream(seed, (*key, c)).random(min(block, reps - s)) for c, s in enumerate(starts)]
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 3, 8):
+                got, drawn, calls = self.run(seed, key, reps, block, workers)
+                assert np.array_equal(got, want), workers
+                assert drawn == [(s, min(block, reps - s)) for s in starts]
+                assert calls == workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [2, 3, 8]
+
+    def test_one_block_starts_no_pool(self, pools):
+        _, drawn, calls = self.run(4, (), 5, 8, workers=4)
+        assert (drawn, calls, pools) == ([(0, 5)], 1, [])
+
+    def test_workers_beyond_the_blocks_start_one_per_block(self, pools):
+        _, drawn, calls = self.run(4, (), 10, 3, workers=8)
+        assert (drawn, calls, pools) == ([(0, 3), (3, 3), (6, 3), (9, 1)], 4, [4])
+
+
 class TestOutputIndependentOfBlasKernel:
     # OpenBLAS picks its kernel by CPU; Haswell fuses multiply-adds and
     # Sandybridge does not, so a value that went through BLAS would differ
@@ -876,6 +926,31 @@ class TestWeightsAsPlainArray:
     def test_non_normalised_array_refused(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):
             replicate_weighted_frequencies([0.5, 0.5], np.full(8, 0.2), 4, 1)
+
+
+class TestMarginalInputsAsPlainLists:
+    def test_lists_give_the_typed_output(self):
+        cells = [[0.3, 0.1, 0.05], [0.1, 0.25, 0.2]]
+        col = [0.4, 0.35, 0.25]
+        got = replicate_marginal_estimates(cells, col, 30, 500, seed=8)
+        want = replicate_marginal_estimates(JointDistribution(cells), marg(col), 30, 500, seed=8)
+        assert np.array_equal(got.phat_rows, want.phat_rows)
+        assert np.array_equal(got.ptilde_rows, want.ptilde_rows, equal_nan=True)
+        assert np.array_equal(got.excluded, want.excluded)
+
+    @pytest.mark.parametrize(
+        "cells, col, message",
+        [
+            ([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], "cell probabilities must sum to 1"),
+            ([0.5, 0.5], [0.5, 0.5], "2-d table"),
+            ([[0.25, 0.25], [0.25, 0.25]], [0.7, 0.7], "marginal entries must sum to 1"),
+            ([[0.25, 0.25], [0.25, 0.25]], [1.0, 0.0], "strictly positive"),
+        ],
+        ids=["cells", "shape", "marginal", "zero-entry"],
+    )
+    def test_bad_lists_refused(self, cells, col, message):
+        with pytest.raises(ValueError, match=message):
+            replicate_marginal_estimates(cells, col, 10, 4, 1)
 
 
 def reference_chunk_estimates(flat_cells, col_probs, dims, n, size, rng):
