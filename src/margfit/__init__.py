@@ -4,102 +4,18 @@ Estimate a joint distribution from categorical counts, reweight it so one
 marginal matches an externally known distribution, and quantify exactly how
 much estimator variance the extra information removes, both in closed form
 and by reproducible Monte Carlo.
+
+The package exports every name in the ``__all__`` of ``asymptotics``,
+``estimators``, ``simulation`` and ``tables``, in that order; each module's
+list is the one place a public name is declared.
 """
 
-from .asymptotics import (
-    CovarianceMatrix,
-    adjusted_marginal_covariance,
-    chi2_reduction_bound,
-    effective_sample_factor,
-    expected_conditional_covariance,
-    marginal_covariance,
-    multinomial_covariance,
-    variance_gap_quadratic,
-)
-from .estimators import (
-    AdjustedTable,
-    CloneCounts,
-    IpfResult,
-    WeightVector,
-    adjust_to_known_marginal,
-    adjusted_row_marginal,
-    cloned_frequencies,
-    ipf_column_step,
-    ipf_fit,
-    weighted_frequencies,
-)
-from .simulation import (
-    CaseStudyResult,
-    CaseStudyRow,
-    ExperimentConfig,
-    ExperimentGrid,
-    GridCell,
-    MarginalReplicates,
-    asymptotic_reduction,
-    default_log_cpr_grid,
-    exact_reduction,
-    replicate_marginal_estimates,
-    replicate_weighted_frequencies,
-    run_case_study,
-    run_experiment,
-)
-from .tables import (
-    CountTable,
-    CrossProductRatios,
-    JointDistribution,
-    MarginalDistribution,
-    SampleBatch,
-    build_2x2_from_marginals_cpr,
-    column_marginal,
-    cross_product_ratios,
-    empirical_joint,
-    row_marginal,
-    sample,
-)
+from . import asymptotics, estimators, simulation, tables
+from .asymptotics import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .simulation import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjustedTable",
-    "CaseStudyResult",
-    "CaseStudyRow",
-    "CloneCounts",
-    "CountTable",
-    "CovarianceMatrix",
-    "CrossProductRatios",
-    "ExperimentConfig",
-    "ExperimentGrid",
-    "GridCell",
-    "IpfResult",
-    "JointDistribution",
-    "MarginalDistribution",
-    "MarginalReplicates",
-    "SampleBatch",
-    "WeightVector",
-    "adjust_to_known_marginal",
-    "adjusted_marginal_covariance",
-    "adjusted_row_marginal",
-    "asymptotic_reduction",
-    "build_2x2_from_marginals_cpr",
-    "chi2_reduction_bound",
-    "cloned_frequencies",
-    "column_marginal",
-    "cross_product_ratios",
-    "default_log_cpr_grid",
-    "effective_sample_factor",
-    "empirical_joint",
-    "exact_reduction",
-    "expected_conditional_covariance",
-    "ipf_column_step",
-    "ipf_fit",
-    "marginal_covariance",
-    "multinomial_covariance",
-    "replicate_marginal_estimates",
-    "replicate_weighted_frequencies",
-    "row_marginal",
-    "run_case_study",
-    "run_experiment",
-    "sample",
-    "variance_gap_quadratic",
-    "weighted_frequencies",
-]
+__all__ = [*asymptotics.__all__, *estimators.__all__, *simulation.__all__, *tables.__all__]

@@ -29,6 +29,8 @@ from .asymptotics import (
 from .estimators import adjust_to_known_marginal, adjusted_row_marginal, ipf_fit
 from .io import (
     ParseError,
+    _float,
+    _integer_text,
     case_study_to_json_dict,
     grid_to_json_dict,
     load_destatis2014,
@@ -58,6 +60,22 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise UsageError(message)
+
+
+def _number(read, name: str):
+    """``read`` as an argparse type, so a number flag follows the file grammar
+    of :mod:`margfit.io`; argparse reports a refused value as an "invalid
+    <name> value"."""
+
+    def convert(text: str):
+        return read(text)
+
+    convert.__name__ = name
+    return convert
+
+
+_INT_FLAG = _number(_integer_text, "int")
+_FLOAT_FLAG = _number(_float, "float")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a variance-reduction grid experiment")
     p.add_argument("--config", required=True, metavar="PATH")
-    p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
+    p.add_argument("--seed", type=_INT_FLAG, metavar="U64", help="override the config seed")
     p.add_argument(
-        "--replications", type=int, metavar="INT", help="override config replications"
+        "--replications", type=_INT_FLAG, metavar="INT", help="override config replications"
     )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -219,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", metavar="PATH")
     p.add_argument("--row-marginal", required=True, metavar="PATH")
     p.add_argument("--col-marginal", required=True, metavar="PATH")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--tol", type=_FLOAT_FLAG, default=1e-10)
+    p.add_argument("--max-iter", type=_INT_FLAG, default=1000)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_ipf)
 

@@ -18,6 +18,12 @@ emitted file re-parses to the exact in-memory value. Formats:
   is empty for cells that computed cleanly.
 * case study: percentage columns rounded to 4 significant digits next to
   full-precision raw columns.
+
+Numbers follow one grammar, in every file and in the CLI's number flags: an
+integer is ASCII digits after an optional sign (``_INT_RE``, the whole token),
+and a float is what ``float`` reads from ASCII text without ``_``. Range
+checks come after the grammar: a file value must fit in int64 (``_int``), a
+flag value is checked by the code it configures.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .simulation import (
     GridCell,
 )
 from .tables import INT64_MAX, Axis, CountTable, JointDistribution, MarginalDistribution
-from .tables import _integer, _real
+from .tables import _integer, _json_array, _json_object, _real
 
 __all__ = [
     "ParseError",
@@ -102,7 +108,7 @@ def write_text(path, text: str) -> None:
 
 
 _TABLE_HEADER_RE = re.compile(r"^#rows=([0-9]+) cols=([0-9]+)\s*$")
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _data_lines(lines: list[str], start: int):
@@ -127,12 +133,17 @@ def _row(text: str, source: str, line_no: int, n_cols: int | None, convert) -> l
         raise ParseError(source, line_no, str(exc)) from None
 
 
+def _integer_text(token: str) -> int:
+    """The int that ``token`` spells in the integer grammar, unbounded."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _int(token: str, noun: str = "integer") -> int:
     """The int64 value of a decimal integer token; ``noun`` names the value
     in the out-of-range message."""
-    if not _INT_RE.match(token):
-        raise ValueError(f"not an integer: {token!r}")
-    value = int(token)
+    value = _integer_text(token)
     if not -INT64_MAX - 1 <= value <= INT64_MAX:
         raise ValueError(f"{noun} {value} exceeds the int64 range")
     return value
@@ -243,7 +254,7 @@ def parse_marginal_text(
     if len(data) > 1:
         raise ParseError(source, data[1][0], "expected a single marginal data line")
     line_no, content = data[0]
-    from_counts = all(_INT_RE.match(tok) for tok in _row(content, source, line_no, None, str))
+    from_counts = all(_INT_RE.fullmatch(tok) for tok in _row(content, source, line_no, None, str))
     values = _row(content, source, line_no, None, _count if from_counts else _float)
     if from_counts:
         total = sum(values)
@@ -416,10 +427,15 @@ def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig | None = No
 
 
 def grid_from_json_dict(data: dict) -> ExperimentGrid:
-    cells = [
-        _grid_cell([entry[column] for column, _, _ in _GRID_FIELDS], None, _JSON_READERS)
-        for entry in data["cells"]
-    ]
+    """The grid of a ``grid_to_json_dict`` object; its ``config``, when
+    present, is checked as an experiment config and not returned."""
+    data = _json_object(data, "grid", ("cells",), ("config",))
+    if "config" in data:
+        ExperimentConfig.from_dict(data["config"])
+    cells = []
+    for entry in _json_array(data["cells"], "cells"):
+        entry = _json_object(entry, "grid cell", GRID_COLUMNS)
+        cells.append(_grid_cell([entry[c] for c in GRID_COLUMNS], None, _JSON_READERS))
     return ExperimentGrid(cells=tuple(cells))
 
 
@@ -491,12 +507,15 @@ def case_study_to_json_dict(result: CaseStudyResult) -> dict:
 
 
 def case_study_from_json_dict(data: dict) -> CaseStudyResult:
+    data = _json_object(data, "case study", ("zero_columns", "rows"))
     rows = []
-    for entry in data["rows"]:
+    for entry in _json_array(data["rows"], "rows"):
+        entry = _json_object(entry, "case-study row", _CASE_STUDY_FIELDS)
         phat, ptilde, rel = (entry[key] for key in _CASE_STUDY_FIELDS)
         rel = None if rel is None else _real(rel, "relative_difference_pct")
         rows.append(CaseStudyRow(_real(phat, "phat"), _real(ptilde, "ptilde"), rel))
-    mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in data["zero_columns"])
+    zero_columns = _json_array(data["zero_columns"], "zero_columns")
+    mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in zero_columns)
     return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)
 
 

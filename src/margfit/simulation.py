@@ -77,6 +77,8 @@ from .tables import (
     JointDistribution,
     MarginalDistribution,
     _integer,
+    _json_array,
+    _json_object,
     _real,
     _seed,
     build_2x2_from_marginals_cpr,
@@ -178,20 +180,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError("experiment config must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
-                raise ValueError(f"config is missing {f.name!r}")
-        kwargs = dict(data)
+        names = [f.name for f in fields(cls)]
+        required = [
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        ]
+        kwargs = dict(_json_object(data, "experiment config", required, names))
         for key in ("row_marginal", "col_marginal", "log_cpr_grid", "n_grid"):
             if key in kwargs:
-                if not isinstance(kwargs[key], list):
-                    raise ValueError(f"{key} must be a JSON array, got {kwargs[key]!r}")
-                kwargs[key] = tuple(kwargs[key])
+                kwargs[key] = tuple(_json_array(kwargs[key], key))
         return cls(**kwargs)
 
 

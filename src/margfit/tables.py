@@ -11,6 +11,11 @@ within ``PROB_TOL``) or ``_counts`` (integral, each at least a minimum), and
 ``_frozen`` makes the result read-only. Counts and category labels become
 int64 through ``_int64``, which checks them before the cast. The types
 compare field by field through ``_fields_equal`` and are unhashable.
+
+Every JSON reader checks the shape of what it reads through
+``_json_object`` (a dict with its required keys and no unknown one) and
+``_json_array`` (a list), and each number through ``_integer``, ``_real``
+or ``_seed``, which refuse rather than convert.
 """
 
 from __future__ import annotations
@@ -85,6 +90,27 @@ def _real(value, name: str) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _json_object(data, what: str, required, optional=()) -> dict:
+    """``data`` if it is a JSON object (a dict) holding every key of
+    ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(data) - {*required, *optional}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(map(str, unknown))}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} is missing {key!r}")
+    return data
+
+
+def _json_array(value, name: str) -> list:
+    """``value`` if it is a JSON array (a list)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -734,3 +734,52 @@ class TestSimulateSizesBeyondInt64:
         code, out, err = run(capsys, "simulate", "--config", path)
         assert code == 2 and out == ""
         assert err == f"parse error: {path}:1: {message}\n"
+
+
+class TestNumberFlagsFollowTheFileGrammar:
+    """--seed, --replications, --max-iter and --tol read their text by the
+    grammar of every input file: ASCII digits, no ``_`` digit separators."""
+
+    def argv(self, config_file, counts_file, marginal_file, flag, value):
+        if flag in ("--seed", "--replications"):
+            return ["simulate", "--config", config_file, flag, value]
+        return [
+            "ipf", "--counts", counts_file, "--row-marginal", marginal_file,
+            "--col-marginal", marginal_file, flag, value,
+        ]
+
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            (flag, value)
+            for flag in ("--seed", "--replications", "--max-iter", "--tol")
+            for value in ("1_0", "١", "٣")
+        ]
+        + [("--tol", "١e-3")],
+    )
+    def test_refused_value_is_one_usage_error_line(
+        self, capsys, config_file, counts_file, marginal_file, flag, value
+    ):
+        argv = self.argv(config_file, counts_file, marginal_file, flag, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert f"argument {flag}:" in err
+
+    def test_largest_seed_is_accepted(self, capsys, config_file):
+        code, out, err = run(
+            capsys, "simulate", "--config", config_file, "--seed", str(2**64 - 1),
+            "--replications", "2",
+        )
+        assert code == 0 and err == "" and out
+
+    def test_negative_seed_keeps_its_range_error(self, capsys, config_file):
+        code, out, err = run(capsys, "simulate", "--config", config_file, "--seed", "-1")
+        assert code == 3 and out == ""
+        assert err == "error: seed must fit in an unsigned 64-bit integer, got -1\n"
+
+    def test_word_for_an_integer_keeps_its_message(self, capsys, counts_file, marginal_file):
+        argv = self.argv(None, counts_file, marginal_file, "--max-iter", "many")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "usage error: argument --max-iter: invalid int value: 'many'\n"

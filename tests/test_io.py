@@ -457,6 +457,68 @@ class TestJsonRecordsCheckValues:
             case_study_from_json_dict(case_study_json(mask))
 
 
+def without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+def grid_shapes():
+    """Grid JSON values of the wrong shape, one per way of being wrong."""
+    entry = grid_json()["cells"][0]
+    return {
+        "top level array": [],
+        "top level string": "cells",
+        "top level null": None,
+        "cells object": {"cells": {}},
+        "cells string": {"cells": "ab"},
+        "cell number": {"cells": [1]},
+        "cell array": {"cells": [list(entry.values())]},
+        "missing cells": {},
+        "missing n": {"cells": [without(entry, "n")]},
+        "missing error": {"cells": [without(entry, "error")]},
+        "unknown top-level key": {"cells": [entry], "grid": 1},
+        "unknown cell key": {"cells": [{**entry, "n_excluded": 0}]},
+        "config array": {"cells": [entry], "config": []},
+        "config missing a key": {"cells": [entry], "config": {"row_marginal": [0.5, 0.5]}},
+    }
+
+
+def case_study_shapes():
+    """Case-study JSON values of the wrong shape, one per way of being wrong."""
+    data = case_study_json([1])
+    row = data["rows"][0]
+    return {
+        "top level array": [],
+        "top level null": None,
+        "rows object": {**data, "rows": {}},
+        "rows string": {**data, "rows": "ab"},
+        "zero_columns object": {**data, "zero_columns": {}},
+        "zero_columns null": {**data, "zero_columns": None},
+        "row number": {**data, "rows": [0.5]},
+        "row array": {**data, "rows": [list(row.values())]},
+        "missing rows": without(data, "rows"),
+        "missing zero_columns": without(data, "zero_columns"),
+        "missing phat": {**data, "rows": [without(row, "phat")]},
+        "unknown top-level key": {**data, "config": {}},
+        "unknown row key": {**data, "rows": [{**row, "row": 1}]},
+    }
+
+
+class TestJsonRecordsCheckShape:
+    """The grid and case-study JSON readers refuse a value of the wrong shape
+    (not an object, not an array, a missing or an unknown key) with
+    ValueError, as the experiment config reader does."""
+
+    @pytest.mark.parametrize("shape", list(grid_shapes()))
+    def test_grid_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="JSON object|JSON array|missing|unknown"):
+            grid_from_json_dict(grid_shapes()[shape])
+
+    @pytest.mark.parametrize("shape", list(case_study_shapes()))
+    def test_case_study_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="JSON object|JSON array|missing|unknown"):
+            case_study_from_json_dict(case_study_shapes()[shape])
+
+
 class TestAsciiDigitsOnly:
     def test_count_cells(self):
         with pytest.raises(ParseError, match=":2: not an integer"):

@@ -1,14 +1,19 @@
-"""Property: every text parser either returns a value or raises ParseError."""
+"""Properties: every text parser either returns a value or raises
+ParseError, and every JSON reader either returns a value or raises
+ValueError."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from margfit import ExperimentConfig
 from margfit.io import (
     CASE_STUDY_COLUMNS,
     GRID_COLUMNS,
     ParseError,
+    case_study_from_json_dict,
+    grid_from_json_dict,
     parse_case_study_csv_text,
     parse_count_table_text,
     parse_grid_csv_text,
@@ -71,4 +76,64 @@ def test_parser_returns_or_raises_parse_error(parse, text):
     try:
         parse(text)
     except ParseError:
+        pass
+
+
+JSON_READERS = [grid_from_json_dict, case_study_from_json_dict, ExperimentConfig.from_dict]
+
+# Any JSON value. Keys are drawn from every reader's key names as well as
+# arbitrary text, so that generated objects get past the key checks and
+# reach the value checks.
+KEYS = st.one_of(
+    st.sampled_from(
+        [
+            *GRID_COLUMNS,
+            "cells",
+            "config",
+            "rows",
+            "zero_columns",
+            "phat",
+            "ptilde",
+            "relative_difference_pct",
+            "row_marginal",
+            "col_marginal",
+            "log_cpr_grid",
+            "n_grid",
+            "replications",
+            "seed",
+        ]
+    ),
+    st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=12,
+)
+GRID_ENTRY = dict.fromkeys(GRID_COLUMNS) | {"n": 20, "log_cpr": 0.5}
+CONFIG = {"row_marginal": [0.5, 0.5], "col_marginal": [0.5, 0.5]}
+CASE_ROW = {"phat": 0.5, "ptilde": 0.5, "relative_difference_pct": None}
+
+
+@pytest.mark.parametrize("read", JSON_READERS, ids=lambda f: f.__name__)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES)
+# Near-valid shapes, so that every run reaches each check whatever the
+# generator draws. The first four raised KeyError or TypeError while the
+# readers indexed their input unchecked; the others reach the value checks.
+@example(value={"cells": [{"n": 1}]})
+@example(value=[])
+@example(value={"rows": [[0.5, 0.5, None]], "zero_columns": []})
+@example(value={"cells": "ab"})
+@example(value={"cells": [GRID_ENTRY], "config": CONFIG})
+@example(value={"cells": [GRID_ENTRY | {"n": None, "zero_columns": 1e300}]})
+@example(value={"rows": [CASE_ROW], "zero_columns": [0, -1]})
+@example(value={"rows": [CASE_ROW | {"phat": 10**400}], "zero_columns": {}})
+@example(value=CONFIG | {"seed": 2**64, "n_grid": [1e300]})
+@example(value=CONFIG | {"log_cpr_grid": [float("nan")], "replications": True})
+def test_json_reader_returns_or_raises_value_error(read, value):
+    try:
+        read(value)
+    except ValueError:
         pass

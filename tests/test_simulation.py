@@ -235,6 +235,85 @@ class TestMonteCarloMatchesExact:
         assert abs(z_scores[worst]) < 4.0, (worst, z_scores[worst])
 
 
+def truncated_mean(b, n):
+    """E[N1 | 1 <= N1 <= n-1] for N1 ~ Binomial(n, b)."""
+    k = np.arange(1, n)
+    log_pmf = np.array(
+        [
+            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * math.log(b) + (n - j) * math.log1p(-b)
+            for j in range(1, n)
+        ]
+    )
+    weights = np.exp(log_pmf - log_pmf.max())
+    return float((weights * k).sum() / weights.sum())
+
+
+def binomial_central_interval(trials, prob, tails):
+    """The exact central interval [lo, hi] of Binomial(trials, prob): each of
+    P(X < lo) and P(X > hi) is at most tails / 2."""
+    pmf = math.exp(trials * math.log1p(-prob))  # P(X = 0)
+    below, k, lo = 0.0, 0, 0  # below = P(X < k)
+    while True:
+        if below <= tails / 2:
+            lo = k
+        below += pmf
+        if 1.0 - below <= tails / 2:
+            return lo, k
+        pmf *= (trials - k) / (k + 1) * (prob / (1.0 - prob))
+        k += 1
+
+
+class TestMonteCarloColumnsMatchExact:
+    """The other printed columns of the cells of
+    :class:`TestMonteCarloMatchesExact`, from the same streams, against their
+    exact values given both columns observed. With column probability b and
+    q1 = p11/b, q2 = p12/(1-b): ``bias_tilde`` has expectation 0, since the
+    adjusted estimate is conditionally unbiased; ``bias_hat`` has expectation
+    (q1 - q2)(E[N1 | 1 <= N1 <= n-1] - n b)/n; each lies within 4 standard
+    errors sd/sqrt(kept) of it. ``zero_column_events`` is Binomial(R,
+    b^n + (1-b)^n) and lies in its exact central interval whose two tails
+    hold the two-sided 4-sigma normal mass: a normal band would be wrong for
+    case I, whose expected count at n = 20 is 0.038."""
+
+    REPLICATIONS = TestMonteCarloMatchesExact.REPLICATIONS
+    TAILS = math.erfc(4.0 / math.sqrt(2.0))  # 6.3e-5
+
+    def test_cases_one_to_three(self):
+        z_scores, counts = {}, {}
+        cells = [
+            (case, n, lc)
+            for case in ("I", "II", "III")
+            for n in (20, 100, 1000)
+            for lc in (-4.0, -2.0, 0.0, math.log(9.0), 3.0)
+        ]
+        for k, (case, n, lc) in enumerate(cells):
+            table, col = study_table(case, lc)
+            reps = replicate_marginal_estimates(
+                table, col, n, self.REPLICATIONS, seed=2016, stream_key=(k,)
+            )
+            phat, ptilde = reps.phat_rows[:, 0], reps.ptilde_rows[:, 0]
+            target = load_study_config(case).row_marginal[0]
+            cell = simulation._aggregate_cell(n, lc, 0.0, target, phat, ptilde, reps.excluded)
+            kept = ~reps.excluded
+            (p11, p12), (p21, _) = table.cells
+            b = p11 + p21
+            gap = p11 / b - p12 / (1.0 - b)
+            expected_hat = gap * (truncated_mean(b, n) - n * b) / n
+            se_hat = np.std(phat[kept], ddof=1) / math.sqrt(kept.sum())
+            se_tilde = np.std(ptilde[kept], ddof=1) / math.sqrt(kept.sum())
+            z_scores[case, n, lc, "bias_hat"] = (cell.bias_hat - expected_hat) / se_hat
+            z_scores[case, n, lc, "bias_tilde"] = cell.bias_tilde / se_tilde
+            lo, hi = binomial_central_interval(
+                self.REPLICATIONS, b**n + (1.0 - b) ** n, self.TAILS
+            )
+            counts[case, n, lc] = (lo, cell.zero_column_events, hi)
+        worst = max(z_scores, key=lambda key: abs(z_scores[key]))
+        assert abs(z_scores[worst]) < 4.0, (worst, z_scores[worst])
+        outside = {key: c for key, c in counts.items() if not c[0] <= c[1] <= c[2]}
+        assert not outside, outside
+
+
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(row_marginal=(0.5, 0.5), col_marginal=(0.5, 0.5))

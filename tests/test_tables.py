@@ -443,3 +443,16 @@ class TestSampleSizeBeyondInt64:
 
     def test_seeds_keep_the_full_unsigned_range(self):
         assert sample(SYMMETRIC_2X2, 10, 2**64 - 1).total == 10
+
+
+class TestPackageExports:
+    def test_package_exports_each_module_list_in_order(self):
+        import margfit
+        from margfit import asymptotics, estimators, simulation, tables
+
+        modules = (asymptotics, estimators, simulation, tables)
+        assert margfit.__all__ == [name for module in modules for name in module.__all__]
+        assert len(set(margfit.__all__)) == len(margfit.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(margfit, name) is getattr(module, name)
