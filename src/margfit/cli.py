@@ -250,13 +250,9 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    try:
-        args = _shared_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     text = None  # set once every input has been read
     try:
+        args = _shared_parser().parse_args(argv)
         text = _render(args, args.handler(args))
         if args.out:
             write_text(args.out, text)

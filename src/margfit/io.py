@@ -33,13 +33,15 @@ import functools
 import io as _io
 import json
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib.resources import files
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .simulation import (
+    _GRID_FIELDS,
     CaseStudyResult,
     CaseStudyRow,
     ExperimentConfig,
@@ -154,12 +156,6 @@ def _count(token: str) -> int:
     if value < 0:
         raise ValueError(f"negative count: {value}")
     return value
-
-
-def _text(value) -> str:
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"not text: {value!r}")
 
 
 def _float(token: str) -> float:
@@ -360,70 +356,36 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, buil
     return out
 
 
-# (CSV column and JSON key, GridCell attribute, type of a present value), in
-# column order. The fields GridCell requires must be present; the others are
-# an empty CSV field or a JSON null when None.
-_GRID_FIELDS = (
-    ("n", "n", int),
-    ("log_cpr", "log_cpr", float),
-    ("reduction_pct", "reduction_pct", float),
-    ("asymptotic_pct", "asymptotic_pct", float),
-    ("bias_hat", "bias_hat", float),
-    ("bias_tilde", "bias_tilde", float),
-    ("zero_columns", "zero_column_events", int),
-    ("error", "error", str),
-)
-GRID_COLUMNS = tuple(column for column, _, _ in _GRID_FIELDS)
-_GRID_REQUIRED = {f.name for f in fields(GridCell) if f.default is MISSING}
-# How a present grid value of each type is read from CSV text and from JSON:
-# checked, never converted from another type.
-_CSV_READERS = {int: _int, float: _float, str: str}
-_JSON_READERS = {
-    int: lambda v: _integer(v, "grid value", -INT64_MAX - 1),
-    float: lambda v: _real(v, "grid value"),
-    str: _text,
-}
+# GridCell checks every grid value (_GRID_FIELDS in margfit.simulation). A
+# CSV field is read by the grammar of its column's type; an empty one is None.
+GRID_COLUMNS = tuple(column for column, *_ in _GRID_FIELDS)
+_grid_values = attrgetter(*(attr for _, attr, *_ in _GRID_FIELDS))
+_CSV_READERS = {int: _integer_text, float: _float, str: str}
 
 
-def _grid_cell(values, absent, readers) -> GridCell:
-    """The GridCell of ``values`` in _GRID_FIELDS order, where ``absent``
-    stands for None."""
-    return GridCell(
-        **{
-            attr: readers[kind](value) if value != absent or attr in _GRID_REQUIRED else None
-            for (_, attr, kind), value in zip(_GRID_FIELDS, values)
-        }
-    )
+def _grid_csv_cell(record: list[str]) -> GridCell:
+    kinds = (kind for _, _, kind, _ in _GRID_FIELDS)
+    return GridCell(*(_CSV_READERS[kind](t) if t else None for kind, t in zip(kinds, record)))
 
 
 def render_grid_csv(grid: ExperimentGrid) -> str:
+    """One CSV record per cell; ``str`` of a GridCell value is its round-trip text."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(GRID_COLUMNS)
     for cell in grid.cells:
-        row = []
-        for _, attr, kind in _GRID_FIELDS:
-            value = getattr(cell, attr)
-            row.append("" if value is None else _fmt(value) if kind is float else str(value))
-        writer.writerow(row)
+        writer.writerow(["" if value is None else str(value) for value in _grid_values(cell)])
     return buf.getvalue()
 
 
 def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
-    cells = _csv_table(
-        text, source, 1, "grid", GRID_COLUMNS, lambda r: _grid_cell(r, "", _CSV_READERS)
-    )
+    cells = _csv_table(text, source, 1, "grid", GRID_COLUMNS, _grid_csv_cell)
     return ExperimentGrid(cells=tuple(cells))
 
 
-def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig | None = None) -> dict:
-    out: dict = {}
-    if config is not None:
-        out["config"] = config.to_dict()
-    out["cells"] = [
-        {column: getattr(cell, attr) for column, attr, _ in _GRID_FIELDS} for cell in grid.cells
-    ]
-    return out
+def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig) -> dict:
+    cells = [dict(zip(GRID_COLUMNS, _grid_values(cell))) for cell in grid.cells]
+    return {"config": config.to_dict(), "cells": cells}
 
 
 def grid_from_json_dict(data: dict) -> ExperimentGrid:
@@ -432,11 +394,9 @@ def grid_from_json_dict(data: dict) -> ExperimentGrid:
     data = _json_object(data, "grid", ("cells",), ("config",))
     if "config" in data:
         ExperimentConfig.from_dict(data["config"])
-    cells = []
-    for entry in _json_array(data["cells"], "cells"):
-        entry = _json_object(entry, "grid cell", GRID_COLUMNS)
-        cells.append(_grid_cell([entry[c] for c in GRID_COLUMNS], None, _JSON_READERS))
-    return ExperimentGrid(cells=tuple(cells))
+    cells = _json_array(data["cells"], "cells")
+    entries = (_json_object(e, "grid cell", GRID_COLUMNS) for e in cells)
+    return ExperimentGrid(cells=tuple(GridCell(*(e[c] for c in GRID_COLUMNS)) for e in entries))
 
 
 CASE_STUDY_COLUMNS = (
@@ -522,10 +482,10 @@ def case_study_from_json_dict(data: dict) -> CaseStudyResult:
 # ---------------------------------------------------------------------------
 # Experiment config + bundled data
 
-def read_experiment_config(path) -> ExperimentConfig:
-    source = str(path)
+def _parse_experiment_config(text: str, source: str) -> ExperimentConfig:
+    """The experiment config of the JSON ``text``; any fault is a parse error."""
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(source, exc.lineno, exc.msg) from None
     except RecursionError:
@@ -534,6 +494,10 @@ def read_experiment_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(data)
     except ValueError as exc:
         raise ParseError(source, 1, str(exc)) from None
+
+
+def read_experiment_config(path) -> ExperimentConfig:
+    return _parse_experiment_config(_read_text(path), str(path))
 
 
 def bundled_data_text(name: str) -> str:
@@ -565,7 +529,7 @@ def load_study_config(case: str) -> ExperimentConfig:
     """Bundled simulation configs for the marginal configurations I, II, III."""
     name = f"case{case.upper()}.json"
     try:
-        data = json.loads(bundled_data_text(name))
+        text = bundled_data_text(name)
     except FileNotFoundError:
         raise ValueError(f"unknown study case {case!r}; expected I, II, or III") from None
-    return ExperimentConfig.from_dict(data)
+    return _parse_experiment_config(text, name)

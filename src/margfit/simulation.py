@@ -10,8 +10,9 @@ Reproducibility scheme
 ----------------------
 Both Monte Carlo paths run through one block engine, :func:`_run_blocks`.
 With blocks of B replications, block c covers replications [c*B,
-min((c+1)*B, R)) and draws from the PCG64DXSM generator seeded with
-``SeedSequence(entropy=seed, spawn_key=(*key, c))`` (:func:`_stream`).
+min((c+1)*B, R)) and draws from ``_stream(seed, (*key, c))``, the PCG64DXSM
+generator seeded with ``SeedSequence(entropy=seed, spawn_key=(*key, c))``
+that :mod:`margfit.tables` defines as the package's one stream factory.
 Worker k of W, at most one per block, runs blocks k, k + W, k + 2W, ... and
 writes only those replications' entries of index-addressed arrays, so the
 results depend on the master seed, the key and the indices, never on W.
@@ -81,6 +82,8 @@ from .tables import (
     _json_object,
     _real,
     _seed,
+    _stream,
+    _text,
     build_2x2_from_marginals_cpr,
     empirical_joint,
 )
@@ -120,12 +123,6 @@ DEFAULT_REPLICATIONS = 20000
 def default_log_cpr_grid() -> tuple[float, ...]:
     """25 equispaced log cross-product ratios spanning [-5, 5]."""
     return tuple(float(x) for x in np.linspace(-5.0, 5.0, 25))
-
-
-def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64DXSM(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
 
 
 @dataclass(frozen=True)
@@ -191,12 +188,28 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
+# GridCell's fields in order: (CSV column and JSON key, attribute, type of a
+# present value, least value of an int). n and log_cpr are required; the
+# others are None when absent, an empty CSV field or a JSON null.
+_GRID_FIELDS = (
+    ("n", "n", int, 1),
+    ("log_cpr", "log_cpr", float, None),
+    ("reduction_pct", "reduction_pct", float, None),
+    ("asymptotic_pct", "asymptotic_pct", float, None),
+    ("bias_hat", "bias_hat", float, None),
+    ("bias_tilde", "bias_tilde", float, None),
+    ("zero_columns", "zero_column_events", int, 0),
+    ("error", "error", str, None),
+)
+
+
 @dataclass(frozen=True)
 class GridCell:
     """One (n, log cpr) grid point of an experiment.
 
     Numeric fields are ``None`` and ``error`` explains why whenever the cell
-    could not be computed; the run itself keeps going.
+    could not be computed; the run itself keeps going. A value outside its
+    ``_GRID_FIELDS`` type or range, or a NaN log_cpr, is refused.
     """
 
     n: int
@@ -207,6 +220,19 @@ class GridCell:
     bias_tilde: float | None = None
     zero_column_events: int | None = None
     error: str | None = None
+
+    def __post_init__(self):
+        for column, attr, kind, least in _GRID_FIELDS:
+            value = getattr(self, attr)
+            if value is not None or attr in ("n", "log_cpr"):
+                name = f"grid value {column}"
+                if kind is int:
+                    value = _integer(value, name, least)
+                else:
+                    value = _real(value, name) if kind is float else _text(value, name)
+                object.__setattr__(self, attr, value)
+        if math.isnan(self.log_cpr):
+            raise ValueError("grid value log_cpr must not be NaN")
 
 
 @dataclass(frozen=True)

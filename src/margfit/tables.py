@@ -14,8 +14,8 @@ compare field by field through ``_fields_equal`` and are unhashable.
 
 Every JSON reader checks the shape of what it reads through
 ``_json_object`` (a dict with its required keys and no unknown one) and
-``_json_array`` (a list), and each number through ``_integer``, ``_real``
-or ``_seed``, which refuse rather than convert.
+``_json_array`` (a list), and each value through ``_integer``, ``_real``,
+``_seed`` or ``_text``, which refuse rather than convert.
 """
 
 from __future__ import annotations
@@ -90,6 +90,21 @@ def _real(value, name: str) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _text(value, name: str) -> str:
+    """``value`` if it is a str; nothing else is converted to one."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be text, got {value!r}")
+
+
+def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The PCG64DXSM generator seeded with ``SeedSequence(entropy=seed,
+    spawn_key=key)``: every random draw of the package comes from one."""
+    return np.random.Generator(
+        np.random.PCG64DXSM(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
 
 
 def _json_object(data, what: str, required, optional=()) -> dict:
@@ -311,15 +326,13 @@ def empirical_joint(c: CountTable) -> JointDistribution:
 def sample(p: JointDistribution, n: int, seed: int) -> CountTable:
     """Draw a multinomial count table of size n from p.
 
-    The draw is the sequential conditional-binomial decomposition of the
-    multinomial over the cells in row-major order, so equal (p, n, seed)
-    always yields bit-identical counts. The bit generator is Philox, keyed
-    by the 64-bit seed alone; no global RNG state is touched. A bool or
-    fractional n or seed is refused, not truncated.
+    The draw is one ``multinomial(n, cells)`` over the row-major cells from
+    ``_stream(seed, ())``, so equal (p, n, seed) always yields bit-identical
+    counts; no global RNG state is touched. A bool or fractional n or seed
+    is refused, not truncated.
     """
     n = _integer(n, "sample size", 1)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
-    counts = rng.multinomial(n, p.cells.ravel(order="C"))
+    counts = _stream(_seed(seed), ()).multinomial(n, p.cells.ravel(order="C"))
     return CountTable(counts.reshape(p.dims))
 
 

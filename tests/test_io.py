@@ -42,6 +42,7 @@ from margfit.io import (
     render_sections,
     write_text,
 )
+from margfit.simulation import GridCell
 from margfit.tables import MarginalDistribution
 
 
@@ -455,6 +456,39 @@ class TestJsonRecordsCheckValues:
     def test_case_study_zero_column_entry_refused(self, mask):
         with pytest.raises(ValueError, match="zero_columns entry"):
             case_study_from_json_dict(case_study_json(mask))
+
+
+# Grid values that pass the type checks but that run_experiment can never
+# write: a sample size below 1, a negative zero-column count, a NaN log cpr.
+OUT_OF_RANGE = [{"n": 0}, {"n": -5}, {"zero_columns": -3}, {"log_cpr": math.nan}]
+
+
+class TestGridRecordsCheckRanges:
+    """Both grid readers refuse a cell that run_experiment cannot write, as
+    GridCell itself does; an infinite log cpr still reads."""
+
+    @pytest.mark.parametrize("fields", OUT_OF_RANGE)
+    def test_csv_value_is_parse_error_on_its_line(self, fields):
+        text = grid_text(**{key: str(value) for key, value in fields.items()})
+        with pytest.raises(ParseError, match="grid value") as info:
+            parse_grid_csv_text(text, "g.csv")
+        assert (info.value.source, info.value.line) == ("g.csv", 2)
+
+    @pytest.mark.parametrize("fields", OUT_OF_RANGE)
+    def test_json_value_refused(self, fields):
+        with pytest.raises(ValueError, match="grid value"):
+            grid_from_json_dict(grid_json(**fields))
+
+    def test_grid_cell_refuses_n_below_one(self):
+        with pytest.raises(ValueError, match="grid value n must be >= 1"):
+            GridCell(n=0, log_cpr=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_log_cpr_reads_from_both_formats(self, value):
+        from_csv = parse_grid_csv_text(grid_text(log_cpr=str(value)))
+        from_json = grid_from_json_dict(grid_json(log_cpr=value))
+        assert from_csv.cells == from_json.cells
+        assert from_csv.cells[0].log_cpr == value
 
 
 def without(data: dict, key: str) -> dict:

@@ -2,6 +2,9 @@
 ParseError, and every JSON reader either returns a value or raises
 ValueError."""
 
+import json
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,12 +17,14 @@ from margfit.io import (
     ParseError,
     case_study_from_json_dict,
     grid_from_json_dict,
+    grid_to_json_dict,
     parse_case_study_csv_text,
     parse_count_table_text,
     parse_grid_csv_text,
     parse_joint_table_text,
     parse_marginal_text,
     parse_sections_text,
+    render_grid_csv,
 )
 
 PARSERS = [
@@ -137,3 +142,34 @@ def test_json_reader_returns_or_raises_value_error(read, value):
         read(value)
     except ValueError:
         pass
+
+
+# One grid CSV field: half the draws are tokens at or past an edge of the
+# grammar or of a grid value's range, half are ordinary values.
+GRID_TOKENS = st.one_of(
+    st.sampled_from(["", "0", "-5", "nan", "inf", "-inf", "1e400", "2_0"]),
+    st.sampled_from(["1", "20", "3", "0.5", "-1.25"]),
+)
+GRID_CONFIG = ExperimentConfig(row_marginal=(0.5, 0.5), col_marginal=(0.5, 0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(record=st.lists(GRID_TOKENS, min_size=len(GRID_COLUMNS), max_size=len(GRID_COLUMNS)))
+@example(record=["20", "inf", "", "", "", "", "", ""])
+@example(record=["1", "-1e400", "nan", "0", "-5", "inf", "0", "2_0"])
+def test_accepted_grid_record_is_a_cell_run_experiment_can_write(record):
+    """Whatever the grid CSV reader accepts is a cell run_experiment can
+    write, and it re-parses to the same values from CSV and from JSON."""
+    text = ",".join(GRID_COLUMNS) + "\n" + ",".join(record) + "\n"
+    try:
+        grid = parse_grid_csv_text(text)
+    except ParseError:
+        return
+    (cell,) = grid.cells
+    assert cell.n >= 1 and not math.isnan(cell.log_cpr)
+    assert cell.zero_column_events is None or cell.zero_column_events >= 0
+    # repr, not ==: a NaN reduction or bias is allowed, and NaN != NaN.
+    from_csv = parse_grid_csv_text(render_grid_csv(grid))
+    assert repr(from_csv.cells) == repr(grid.cells)
+    payload = json.loads(json.dumps(grid_to_json_dict(grid, GRID_CONFIG)))
+    assert repr(grid_from_json_dict(payload).cells) == repr(grid.cells)

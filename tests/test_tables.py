@@ -18,6 +18,7 @@ from margfit import (
     sample,
 )
 from margfit.io import load_gidas_table3
+from margfit.simulation import _stream
 
 SYMMETRIC_2X2 = JointDistribution([[0.375, 0.125], [0.125, 0.375]])
 
@@ -432,6 +433,27 @@ class TestSampleRefusesTruncation:
 
     def test_integral_float_and_numpy_values_accepted(self):
         assert sample(SYMMETRIC_2X2, 10.0, np.uint64(3)) == sample(SYMMETRIC_2X2, 10, 3)
+
+
+class TestSampleDrawsFromThePackageStream:
+    """``sample`` draws one multinomial from ``_stream(seed, ())``, the
+    factory both Monte Carlo paths draw from, and from no other generator."""
+
+    @pytest.mark.parametrize(
+        "table, n, seed",
+        [
+            (SYMMETRIC_2X2, 100, 7),
+            (random_joint(np.random.default_rng(11), n_rows=3, n_cols=4), 1000, 2**64 - 1),
+            (JointDistribution([[0.5, 0.0, 0.25], [0.125, 0.125, 0.0]]), 10**6, 0),
+        ],
+    )
+    def test_counts_are_one_multinomial_of_the_stream(self, table, n, seed):
+        want = _stream(seed, ()).multinomial(n, table.cells.ravel())
+        got = sample(table, n, seed).counts.ravel()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_counts_pinned(self):
+        assert sample(SYMMETRIC_2X2, 100, 7).counts.tolist() == [[33, 11], [11, 45]]
 
 
 class TestSampleSizeBeyondInt64:
