@@ -34,12 +34,17 @@ cells, so ``margfit simulate`` uses every available core and its output bits
 equal those of the serial run.
 
 A block of :func:`replicate_marginal_estimates` is one
-``multinomial(n, cells, size)`` call, reduced over strided column views of
-its ``(size, I*J)`` output. Row and column totals are exact integer sums;
-the adjusted estimate adds ``count[i, j] * known_col[j] / col_sum[j]`` from
-j = 0 upward, the order of numpy's ``sum(axis=2)`` over the ``(size, I, J)``
-products for up to 7 columns, so the bits equal that reduction's. From 8
-columns numpy sums pairwise; the two agree to 1e-14.
+``multinomial(n, cells, size)`` call, reduced over the 1-D view
+``counts[:, i*J + j]`` of each cell of its ``(size, I*J)`` output. Column
+totals and row totals are exact integer sums; ``phat[i]`` is the row total
+divided by n, and ``ptilde[i]`` adds ``count[i, j] * (known_col[j] /
+col_sum[j])`` from j = 0 upward, the order of numpy's ``sum(axis=2)`` over
+the ``(size, I, J)`` products for up to 7 columns, so the bits equal that
+reduction's. From 8 columns numpy sums pairwise; the two agree to 1e-14.
+Only the rows that ``rows`` selects are reduced (``run_experiment`` reads
+row 0 alone), each into a row-major ``(rows, R)`` store, so one row's
+estimates are contiguous; a selected row's bits equal its column of the
+all-rows result, and the CLI output bits did not move with this layout.
 
 Each worker of :func:`replicate_weighted_frequencies` allocates its buffers
 once and draws each of its blocks into them. A uniform draw u in [0, 1)
@@ -209,7 +214,8 @@ class GridCell:
 
     Numeric fields are ``None`` and ``error`` explains why whenever the cell
     could not be computed; the run itself keeps going. A value outside its
-    ``_GRID_FIELDS`` type or range, or a NaN log_cpr, is refused.
+    ``_GRID_FIELDS`` type or range, or a NaN float, is refused; an infinite
+    float is kept.
     """
 
     n: int
@@ -228,11 +234,13 @@ class GridCell:
                 name = f"grid value {column}"
                 if kind is int:
                     value = _integer(value, name, least)
+                elif kind is float:
+                    value = _real(value, name)
+                    if math.isnan(value):
+                        raise ValueError(f"{name} must not be NaN")
                 else:
-                    value = _real(value, name) if kind is float else _text(value, name)
+                    value = _text(value, name)
                 object.__setattr__(self, attr, value)
-        if math.isnan(self.log_cpr):
-            raise ValueError("grid value log_cpr must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -268,22 +276,31 @@ def _chunk_estimates(
     n: int,
     size: int,
     rng: np.random.Generator,
+    rows: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_rows, n_cols = dims
+    rows = range(n_rows) if rows is None else rows
     counts = rng.multinomial(n, flat_cells, size=size)
-    # Views of the table's rows, (size, n_cols) each, and columns, (size,
-    # n_rows) each; every sum adds whole views from left to right.
-    rows = [counts[:, i * n_cols : (i + 1) * n_cols] for i in range(n_rows)]
-    cols = [counts[:, j::n_cols] for j in range(n_cols)]
-    col_sums = sum(rows[1:], rows[0])
-    excluded = np.logical_or.reduce([col_sums[:, j] == 0 for j in range(n_cols)])
-    phat = sum(cols[1:], cols[0]) / n
+    # cell[i][j] is the 1-D view of count[i, j] over the block; every sum
+    # adds whole views from left to right.
+    cell = [[counts[:, i * n_cols + j] for j in range(n_cols)] for i in range(n_rows)]
+    excluded = np.zeros(size, dtype=bool)
+    scale = np.empty((n_cols, size))
+    phat = np.empty((len(rows), size))
+    ptilde = np.empty((len(rows), size))
+    term = np.empty(size)
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty column gives 0 * inf
-        scale = col_probs / col_sums
-        terms = (cols[j] * scale[:, j : j + 1] for j in range(1, n_cols))
-        ptilde = sum(terms, cols[0] * scale[:, :1])
-    ptilde[excluded] = np.nan
-    return phat, ptilde, excluded
+        for j in range(n_cols):
+            col_sum = sum((cell[i][j] for i in range(1, n_rows)), cell[0][j])
+            excluded |= col_sum == 0
+            np.divide(col_probs[j], col_sum, out=scale[j])
+        for r, i in enumerate(rows):
+            np.divide(sum(cell[i][1:], cell[i][0]), n, out=phat[r])
+            np.multiply(cell[i][0], scale[0], out=ptilde[r])
+            for j in range(1, n_cols):
+                ptilde[r] += np.multiply(cell[i][j], scale[j], out=term)
+    np.copyto(ptilde, np.nan, where=excluded)
+    return phat.T, ptilde.T, excluded
 
 
 def _run_blocks(seed: int, key: tuple, replications: int, block: int, kernel, workers=1) -> None:
@@ -308,13 +325,17 @@ def replicate_marginal_estimates(
     replications: int,
     seed: int,
     stream_key: tuple[int, ...] = (),
+    *,
+    rows: Sequence[int] | None = None,
 ) -> MarginalReplicates:
     """Draw ``replications`` count tables of size n from p and estimate the
     row marginal both ways on each.
 
     ``stream_key`` prefixes the per-chunk spawn keys, letting callers embed
     this routine in a larger deterministic experiment (the grid runner
-    passes its cell index).
+    passes its cell index). ``rows`` selects the 0-based table rows to
+    estimate, in that order, and ``None`` means all of them: column k of
+    the estimates is row ``rows[k]``, bit for bit as in the all-rows result.
     """
     n = _integer(n, "sample size", 1)
     replications = _integer(replications, "replications", 1)
@@ -329,20 +350,29 @@ def replicate_marginal_estimates(
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
         raise ValueError("known marginal length must match the number of columns")
+    if rows is None:
+        rows = range(p.n_rows)
+    elif isinstance(rows, str) or not isinstance(rows, Sequence):
+        raise ValueError(f"rows must be a sequence of row indices, got {rows!r}")
+    rows = tuple(_integer(i, "each rows entry", 0) for i in rows)
+    if not rows or max(rows) >= p.n_rows:
+        raise ValueError(f"rows must be non-empty row indices below {p.n_rows}, got {rows!r}")
     flat = p.cells.ravel(order="C")
-    phat = np.empty((replications, p.n_rows))
-    ptilde = np.empty((replications, p.n_rows))
+    # Row-major (rows, replications) stores: each row's estimates are contiguous.
+    phat = np.empty((len(rows), replications))
+    ptilde = np.empty((len(rows), replications))
     excluded = np.empty(replications, dtype=bool)
 
     def kernel(blocks) -> None:
         for rng, start, size in blocks:
-            ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng)
-            phat[start : start + size] = ph
-            ptilde[start : start + size] = pt
+            ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng, rows)
+            phat[:, start : start + size] = ph.T
+            ptilde[:, start : start + size] = pt.T
             excluded[start : start + size] = ex
 
     _run_blocks(seed, stream_key, replications, CHUNK_REPLICATIONS, kernel)
-    return MarginalReplicates(phat_rows=phat, ptilde_rows=ptilde, excluded=excluded)
+    return MarginalReplicates(phat_rows=phat.T, ptilde_rows=ptilde.T, excluded=excluded)
+
 
 
 def replicate_weighted_frequencies(
@@ -461,20 +491,27 @@ def _aggregate_cell(
     ptilde: np.ndarray,
     excluded: np.ndarray,
 ) -> GridCell:
+    zeros = int(excluded.sum())
+    if excluded.size - zeros < 2:
+        error = "fewer than 2 replications had all columns observed"
+        return GridCell(n, log_cpr, asymptotic_pct=asym_pct, zero_column_events=zeros, error=error)
     included = ~excluded
-    cell = GridCell(n, log_cpr, asymptotic_pct=asym_pct, zero_column_events=int(excluded.sum()))
-    if int(included.sum()) < 2:
-        return replace(cell, error="fewer than 2 replications had all columns observed")
-    var_hat = float(np.var(phat[included], ddof=1))
-    var_tilde = float(np.var(ptilde[included], ddof=1))
+    var_hat, bias_hat = _moments(phat[included], target)
     if var_hat == 0.0:
-        return replace(cell, error="unadjusted estimator variance is zero")
-    return replace(
-        cell,
-        reduction_pct=100.0 * (1.0 - var_tilde / var_hat),
-        bias_hat=float(phat[included].mean() - target),
-        bias_tilde=float(ptilde[included].mean() - target),
-    )
+        error = "unadjusted estimator variance is zero"
+        return GridCell(n, log_cpr, asymptotic_pct=asym_pct, zero_column_events=zeros, error=error)
+    var_tilde, bias_tilde = _moments(ptilde[included], target)
+    reduction_pct = 100.0 * (1.0 - var_tilde / var_hat)
+    return GridCell(n, log_cpr, reduction_pct, asym_pct, bias_hat, bias_tilde, zeros)
+
+
+def _moments(x: np.ndarray, target: float) -> tuple[float, float]:
+    """The sample variance of ``x`` and its mean's bias from ``target``.
+    Each caller passes a fresh copy that is freed on return, so at most one
+    copy is alive: with both alive, the temporaries of ``np.var`` took fresh
+    pages from the allocator on every call, and a cell took about 1.5 times
+    as long to aggregate."""
+    return float(np.var(x, ddof=1)), float(x.mean() - target)
 
 
 def _available_cores() -> int:
@@ -524,7 +561,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         except ValueError as exc:
             return GridCell(n=n, log_cpr=lc, error=str(exc))
         reps = replicate_marginal_estimates(
-            table, col, n, cfg.replications, cfg.seed, stream_key=(k,)
+            table, col, n, cfg.replications, cfg.seed, stream_key=(k,), rows=(0,)
         )
         return _aggregate_cell(
             n, lc, asym_pct, target, reps.phat_rows[:, 0], reps.ptilde_rows[:, 0], reps.excluded

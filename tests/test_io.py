@@ -491,6 +491,46 @@ class TestGridRecordsCheckRanges:
         assert from_csv.cells[0].log_cpr == value
 
 
+RESULT_COLUMNS = ["reduction_pct", "asymptotic_pct", "bias_hat", "bias_tilde"]
+
+
+def grid_text_with(column, token):
+    """A one-record grid CSV with ``token`` in ``column``."""
+    record = dict.fromkeys(GRID_COLUMNS, "")
+    record.update(n="20", log_cpr="0.5", zero_columns="3")
+    record[column] = token
+    return ",".join(GRID_COLUMNS) + "\n" + ",".join(record[c] for c in GRID_COLUMNS) + "\n"
+
+
+class TestGridResultValuesRefuseNaN:
+    """A NaN result value is refused like a NaN log cpr, since run_experiment
+    never writes one; an infinite one still reads."""
+
+    @pytest.mark.parametrize("column", RESULT_COLUMNS)
+    def test_csv_nan_is_parse_error_on_its_line(self, column):
+        with pytest.raises(ParseError, match=f"grid value {column} must not be NaN") as info:
+            parse_grid_csv_text(grid_text_with(column, "nan"), "g.csv")
+        assert (info.value.source, info.value.line) == ("g.csv", 2)
+
+    @pytest.mark.parametrize("column", RESULT_COLUMNS)
+    def test_json_nan_refused(self, column):
+        with pytest.raises(ValueError, match=f"grid value {column} must not be NaN"):
+            grid_from_json_dict(grid_json(**{column: math.nan}))
+
+    @pytest.mark.parametrize("attr", RESULT_COLUMNS)
+    def test_grid_cell_refuses_nan(self, attr):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            GridCell(20, 0.0, **{attr: math.nan})
+
+    @pytest.mark.parametrize("column", RESULT_COLUMNS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_value_reads_from_both_formats(self, column, value):
+        from_csv = parse_grid_csv_text(grid_text_with(column, str(value)))
+        from_json = grid_from_json_dict(grid_json(**{column: value}))
+        assert from_csv.cells == from_json.cells
+        assert getattr(from_csv.cells[0], column) == value
+
+
 def without(data: dict, key: str) -> dict:
     return {k: v for k, v in data.items() if k != key}
 

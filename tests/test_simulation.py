@@ -1108,6 +1108,119 @@ class TestChunkKernelMatchesReference:
                 np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
 
 
+def row_subsets(rng, n_rows):
+    """Row selections of an I-row table: first, last, reversed, random."""
+    picked = rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False)
+    return [(0,), (n_rows - 1,), tuple(range(n_rows))[::-1], tuple(int(i) for i in picked)]
+
+
+class TestRowSubsetMatchesAllRows:
+    """Estimating only some rows gives, bit for bit, those rows' columns of
+    the all-rows result, NaN included."""
+
+    def test_chunk_kernel(self):
+        rng = np.random.default_rng(707)
+        excluded_seen = 0
+        for n_rows in range(2, 6):
+            for n_cols in range(2, 10):
+                for n in (1, 3, 20, 1000):
+                    thin = bool(rng.integers(2))
+                    flat, col = random_chunk_inputs(rng, n_rows, n_cols, thin_column=thin)
+                    args = (flat, col, (n_rows, n_cols), n, int(rng.integers(1, 700)))
+                    key = (n_rows, n_cols, n)
+                    every = _chunk_estimates(*args, _stream(5, key))
+                    for rows in row_subsets(rng, n_rows):
+                        got = _chunk_estimates(*args, _stream(5, key), rows=rows)
+                        assert np.array_equal(got[0], every[0][:, rows]), (key, rows)
+                        assert np.array_equal(got[1], every[1][:, rows], equal_nan=True)
+                        assert np.array_equal(got[2], every[2])
+                    excluded_seen += int(every[2].sum())
+        assert excluded_seen > 0
+
+    def test_replicate_marginal_estimates(self):
+        rng = np.random.default_rng(708)
+        for n_rows in range(2, 6):
+            for n_cols in range(2, 10):
+                for n in (1, 3, 20, 1000):
+                    thin = bool(rng.integers(2))
+                    flat, col = random_chunk_inputs(rng, n_rows, n_cols, thin_column=thin)
+                    table = JointDistribution(flat.reshape(n_rows, n_cols))
+                    args = (table, marg(col), n, int(rng.integers(2, 300)), 6)
+                    every = replicate_marginal_estimates(*args, stream_key=(n_rows, n_cols))
+                    for rows in row_subsets(rng, n_rows):
+                        got = replicate_marginal_estimates(
+                            *args, stream_key=(n_rows, n_cols), rows=rows
+                        )
+                        key = (n_rows, n_cols, n, rows)
+                        assert np.array_equal(got.phat_rows, every.phat_rows[:, rows]), key
+                        assert np.array_equal(
+                            got.ptilde_rows, every.ptilde_rows[:, rows], equal_nan=True
+                        ), key
+                        assert np.array_equal(got.excluded, every.excluded), key
+
+    def test_over_several_blocks_each_row_is_contiguous(self):
+        reps = 2 * CHUNK_REPLICATIONS + 5
+        table = JointDistribution([[0.3, 0.02, 0.1], [0.2, 0.03, 0.35]])
+        col = marg([0.5, 0.05, 0.45])
+        every = replicate_marginal_estimates(table, col, 20, reps, seed=8, stream_key=(3,))
+        got = replicate_marginal_estimates(table, col, 20, reps, 8, (3,), rows=(1,))
+        assert every.excluded.any()
+        assert np.array_equal(got.phat_rows, every.phat_rows[:, [1]])
+        assert np.array_equal(got.ptilde_rows, every.ptilde_rows[:, [1]], equal_nan=True)
+        for result in (every, got):
+            for k in range(result.phat_rows.shape[1]):
+                assert result.phat_rows[:, k].flags.c_contiguous
+                assert result.ptilde_rows[:, k].flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "rows", [(), [], (2,), (0, 2), (-1,), (True,), (0.5,), ("0",), "0", 0, {0}]
+    )
+    def test_bad_rows_refused(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.5, 0.5]), 10, 4, 1, rows=rows)
+
+    def test_run_experiment_equals_cells_from_all_rows(self):
+        # n <= 3 from a skewed column marginal, so that excluded
+        # replications and error cells both occur.
+        cfg = ExperimentConfig(
+            row_marginal=(0.4, 0.6),
+            col_marginal=(0.8, 0.2),
+            log_cpr_grid=(-1.0, 0.0, 2.0, 800.0),
+            n_grid=(1, 2, 3, 50),
+            replications=400,
+            seed=13,
+        )
+        row = marg(cfg.row_marginal, "row")
+        col = marg(cfg.col_marginal)
+        want = []
+        for k, (n, lc) in enumerate((n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid):
+            cpr = float(decimal.Decimal.from_float(lc).exp(decimal.Context(prec=40, traps=[])))
+            try:
+                table = build_2x2_from_marginals_cpr(row, col, cpr)
+            except ValueError as exc:
+                want.append(simulation.GridCell(n, lc, error=str(exc)))
+                continue
+            asym_pct = 100.0 * asymptotic_reduction(table, 0)
+            reps = replicate_marginal_estimates(
+                table, col, n, cfg.replications, cfg.seed, stream_key=(k,)
+            )
+            want.append(
+                simulation._aggregate_cell(
+                    n,
+                    lc,
+                    asym_pct,
+                    cfg.row_marginal[0],
+                    reps.phat_rows[:, 0],
+                    reps.ptilde_rows[:, 0],
+                    reps.excluded,
+                )
+            )
+        got = run_experiment(cfg, workers=1).cells
+        assert got == tuple(want)
+        assert any(c.error and "fewer than 2" in c.error for c in got)
+        assert any(c.error is None and c.zero_column_events for c in got)
+
+
 class TestEmptyColumnsStaySilent:
     def test_no_warning_when_a_column_is_empty(self):
         # An empty column makes the kernel compute 0 * inf; that must stay
