@@ -23,8 +23,8 @@ nothing else: PCG64DXSM fills uniforms more than twice as fast.
 its ``stream_key`` as the key prefix (grid cell k of :func:`run_experiment`
 passes ``(k,)``) and one worker. :func:`replicate_weighted_frequencies` uses
 blocks of ``max(1, WEIGHTED_BLOCK_DRAWS // n)`` replications of n
-observations, at most 2**18 draws (one replication when n is larger) so its
-buffers stay in cache, an empty key prefix and one worker per available core.
+observations, at most 2**18 draws (one replication when n is larger), an
+empty key prefix and one worker per available core.
 
 Grid cells are aggregated in a fixed order, so serial and parallel runs of
 the same configuration are bit-identical. ``run_experiment``'s ``workers``
@@ -47,7 +47,13 @@ estimates are contiguous; a selected row's bits equal its column of the
 all-rows result, and the CLI output bits did not move with this layout.
 
 Each worker of :func:`replicate_weighted_frequencies` allocates its buffers
-once and draws each of its blocks into them. A uniform draw u in [0, 1)
+once, for a slab of ``max(1, _SLAB_DRAWS // n)`` replications capped at the
+block: about 1.1 MiB at 18 bytes a draw, small enough for a 2 MiB L2 cache.
+The block is the stream unit and the slab the buffer unit: each block is
+drawn slab by slab, one ``random(out=...)`` call on the block's generator per
+slab. Successive calls continue one stream of doubles and every row is
+summed whole within its slab, so the slab size never changes a bit and is
+outside the determinism contract. A uniform draw u in [0, 1)
 falls in category x = #{edges <= u}, with ``edges = cumsum(probs)`` and the
 last edge taken as 1: the rule of ``np.searchsorted(edges, u,
 side="right")`` with that edge clamped. The kernel compares u with every
@@ -121,6 +127,11 @@ CHUNK_REPLICATIONS = 4096
 # blocks of max(1, WEIGHTED_BLOCK_DRAWS // n) replications; part of the
 # determinism contract in the same way.
 WEIGHTED_BLOCK_DRAWS = 2**18
+
+# Category draws per slab, the part of a block that a worker of
+# replicate_weighted_frequencies holds in its buffers at once; not part of
+# the determinism contract (see the module docstring).
+_SLAB_DRAWS = 2**16
 
 DEFAULT_N_GRID = (20, 100, 1000, 10000)
 DEFAULT_REPLICATIONS = 20000
@@ -401,29 +412,31 @@ def replicate_weighted_frequencies(
     edges = np.cumsum(probs)  # edges[-1] is never read: the last edge is 1
     w = weights.weights
     block = max(1, WEIGHTED_BLOCK_DRAWS // n)
-    rows = min(block, replications)
+    slab = min(max(1, _SLAB_DRAWS // n), block, replications)
     out = np.empty((replications, n_categories))
 
     def kernel(blocks) -> None:
-        draws = np.empty((rows, n))
-        below = np.empty((rows, n), dtype=bool)
-        below_prev = np.empty((rows, n), dtype=bool)
-        member = np.empty((rows, n))
+        draws = np.empty((slab, n))
+        below = np.empty((slab, n), dtype=bool)
+        below_prev = np.empty((slab, n), dtype=bool)
+        member = np.empty((slab, n))
         for rng, start, size in blocks:
-            u = rng.random(out=draws[:size])
-            below_prev[:size] = False
-            for i in range(n_categories):
-                # edges[:-1] never decrease, so "u < edges[i]" switches on at
-                # most once as i grows: x == i exactly where below is set and
-                # below_prev is not.
-                if i < n_categories - 1:
-                    np.less(u, edges[i], out=below[:size])
-                    np.greater(below[:size], below_prev[:size], out=member[:size])
-                else:  # every u < 1, the last edge: below would be all set
-                    np.logical_not(below_prev[:size], out=member[:size])
-                member[:size] *= w
-                member[:size].sum(axis=1, out=out[start : start + size, i])
-                below, below_prev = below_prev, below
+            for lo in range(start, start + size, slab):
+                m = min(slab, start + size - lo)
+                u = rng.random(out=draws[:m])
+                below_prev[:m] = False
+                for i in range(n_categories):
+                    # edges[:-1] never decrease, so "u < edges[i]" switches on
+                    # at most once as i grows: x == i exactly where below is
+                    # set and below_prev is not.
+                    if i < n_categories - 1:
+                        np.less(u, edges[i], out=below[:m])
+                        np.greater(below[:m], below_prev[:m], out=member[:m])
+                    else:  # every u < 1, the last edge: below would be all set
+                        np.logical_not(below_prev[:m], out=member[:m])
+                    member[:m] *= w
+                    member[:m].sum(axis=1, out=out[lo : lo + m, i])
+                    below, below_prev = below_prev, below
 
     _run_blocks(seed, (), replications, block, kernel, _available_cores())
     return out

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -723,13 +724,53 @@ class TestWeightedKernelMatchesSearchsorted:
         assert np.array_equal(got, want)
 
     def test_several_blocks_with_a_partial_last_block(self):
-        # 3000 observations make blocks of 1333 replications: 3000
-        # replications are two full blocks and one of 334.
+        # 3000 observations make blocks of 2**18 // 3000 = 87 replications:
+        # 3000 replications are 34 full blocks and one of 42.
         weights = random_weights(np.random.default_rng(8), 3000)
         probs = [0.1, 0.0, 0.25, 0.4, 0.25]
         got = replicate_weighted_frequencies(probs, weights, 3000, seed=31)
         want = searchsorted_weighted_frequencies(probs, weights, 3000, seed=31)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("slab_draws", [1, 2**16, 2**18, 2**20])
+    def test_slab_size_never_changes_bits(self, monkeypatch, slab_draws):
+        # One row per slab, the default, and one slab per block (2**18 and
+        # up): the blocks and their streams stay, so the bits stay. At the
+        # default, 3000 observations make blocks of 87 replications and slabs
+        # of 21, so every full block ends on a slab of 3, and 214
+        # replications add a partial block of 40 (slabs of 21 and 19); 70000
+        # observations make one-replication slabs in blocks of 3, and 7
+        # replications end on a partial block of 1.
+        monkeypatch.setattr(simulation, "_SLAB_DRAWS", slab_draws)
+        rng = np.random.default_rng(29)
+        for n, reps in ((1, 50), (1000, 600), (3000, 214), (70000, 7)):
+            weights = random_weights(rng, n)
+            probs = [0.25, 0.0, 0.45, 0.3]
+            got = replicate_weighted_frequencies(probs, weights, reps, seed=n)
+            want = searchsorted_weighted_frequencies(probs, weights, reps, seed=n)
+            assert np.array_equal(got, want), (n, reps)
+
+
+class TestWeightedWorkingMemory:
+    """Each worker of ``replicate_weighted_frequencies`` holds buffers for one
+    slab of at most ``_SLAB_DRAWS`` draws, 18 bytes a draw, not for a block."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_stays_within_one_slab_per_worker(self, monkeypatch, cores):
+        # 10000 observations make blocks of 26 replications and slabs of 6:
+        # 200 replications are 8 blocks, shared over both workers at 2 cores.
+        monkeypatch.setattr(simulation, "_available_cores", lambda: cores)
+        ramp = np.arange(1, 10001, dtype=float)
+        weights = WeightVector(ramp / ramp.sum())
+        # The first call imports numpy.random's lazy modules; measure a later one.
+        replicate_weighted_frequencies([0.3, 0.7], weights, 200, seed=8)
+        tracemalloc.start()
+        try:
+            out = replicate_weighted_frequencies([0.3, 0.7], weights, 200, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cores * 18 * simulation._SLAB_DRAWS * 1.1 + out.nbytes
 
 
 class TestWeightedWorkers:
