@@ -253,7 +253,9 @@ def main(argv=None) -> int:
     text = None  # set once every input has been read
     try:
         args = _shared_parser().parse_args(argv)
-        text = _render(args, args.handler(args))
+        # A floating-point fault is one exit-3 line, not a warning on stderr.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            text = _render(args, args.handler(args))
         if args.out:
             write_text(args.out, text)
         else:

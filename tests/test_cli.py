@@ -313,6 +313,7 @@ class TestSimulateOutputPinned:
             ("II", "36f4a55303aa9e41e7a8bef0ddf07c3bd524f621370640add06139bf5cf98adb"),
             ("III", "3b39469f5993dc8679b50f9ab417b97373d3b38b02d2213d5aa93828e067d143"),
         ],
+        ids=["I", "II", "III"],
     )
     def test_bundled_case_stdout(self, capsys, tmp_path, monkeypatch, case, digest):
         monkeypatch.chdir(tmp_path)
@@ -473,7 +474,11 @@ _PINNED_DIGESTS = [
 
 
 class TestOutputBytesPinned:
-    @pytest.mark.parametrize("command, fmt, digest", _PINNED_DIGESTS)
+    @pytest.mark.parametrize(
+        "command, fmt, digest",
+        _PINNED_DIGESTS,
+        ids=[f"{command}-{fmt}" for command, fmt, _ in _PINNED_DIGESTS],
+    )
     def test_stdout(self, capsys, tmp_path, monkeypatch, command, fmt, digest):
         monkeypatch.chdir(tmp_path)
         for name, text in _PINNED_FILES.items():
@@ -719,6 +724,30 @@ class TestSimulateErrorCells:
         cells = parse_grid_csv_text(out).cells
         assert cells and all(cell.error == error for cell in cells)
         assert all(cell.reduction_pct is None for cell in cells)
+
+
+class TestSimulateSerialEqualsParallel:
+    # main runs the handler under np.errstate, which pool threads do not
+    # inherit: one worker runs the grid cells under it, four run them outside.
+    def test_one_and_four_workers_print_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        path = write_config(
+            tmp_path,
+            log_cpr_grid=[-700.0, -30.0, 0.0, 30.0, 700.0],
+            n_grid=[1, 2, 50],
+            replications=50,
+            seed=7,
+        )
+        outputs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(simulation, "_available_cores", lambda: cores)
+            code, out, err = run(capsys, "simulate", "--config", path)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        errors = [cell.error for cell in parse_grid_csv_text(outputs[0]).cells]
+        assert None in errors
+        assert "fewer than 2 replications had all columns observed" in errors
+        assert any(error and "too extreme" in error for error in errors)
 
 
 class TestSimulateSizesBeyondInt64:
