@@ -174,7 +174,10 @@ def chi2_reduction_bound(p: JointDistribution) -> float:
     if (row == 0.0).any() or (col == 0.0).any():
         raise ValueError("all row and column marginals must be > 0")
     expected = np.outer(row, col)
-    return float(((p.cells - expected) ** 2 / expected).sum())
+    # A cell whose expected value underflows to 0 and whose probability is 0 adds 0.
+    terms = np.zeros_like(expected)
+    np.divide((p.cells - expected) ** 2, expected, out=terms, where=(expected > 0) | (p.cells > 0))
+    return float(terms.sum())
 
 
 def effective_sample_factor(w: WeightVector) -> float:

@@ -9,6 +9,7 @@ first half-iteration of :func:`ipf_fit`, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -174,12 +175,17 @@ class AdjustedTable:
 
 
 def _scale_columns(cells: np.ndarray, col_sums: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Multiply each column of ``cells``, whose sums are ``col_sums``, so its
-    sum hits the target; empty columns stay zero."""
-    scale = np.divide(
-        target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0
-    )
-    return cells * scale
+    """Multiply each column of ``cells`` in place by target / its sum in
+    ``col_sums`` and return ``cells``; empty columns stay zero, and a column
+    whose scale overflows (a subnormal sum) is divided by its sum first."""
+    if np.minimum.reduce(col_sums) >= sys.float_info.min:  # no scale can overflow
+        return np.multiply(cells, target / col_sums, out=cells)
+    with np.errstate(over="ignore"):
+        scale = np.divide(target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
+    big = np.isinf(scale)
+    cells[:, big] = cells[:, big] / col_sums[big] * target[big]
+    scale[big] = 1.0
+    return np.multiply(cells, scale, out=cells)
 
 
 def ipf_column_step(table: JointDistribution, col_target: MarginalDistribution) -> np.ndarray:
@@ -190,7 +196,7 @@ def ipf_column_step(table: JointDistribution, col_target: MarginalDistribution) 
     """
     if len(col_target) != table.n_cols:
         raise ValueError("target length must match the number of columns")
-    return _scale_columns(table.cells, table.cells.sum(axis=0), col_target.probs)
+    return _scale_columns(table.cells.copy(), table.cells.sum(axis=0), col_target.probs)
 
 
 def adjust_to_known_marginal(
@@ -211,7 +217,7 @@ def adjust_to_known_marginal(
     col_sums = phat.cells.sum(axis=0)
     empty = np.flatnonzero(col_sums == 0.0)
     return AdjustedTable(
-        cells=_scale_columns(phat.cells, col_sums, col.probs),
+        cells=_scale_columns(phat.cells.copy(), col_sums, col.probs),
         known_col_marginal=col,
         zero_column_mask=frozenset(int(j) for j in empty),
     )
@@ -265,24 +271,35 @@ def ipf_fit(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     max_iter = _integer(max_iter, "max_iter", 0)
 
-    cells = init.cells
-    row_sums, col_sums = cells.sum(axis=1), cells.sum(axis=0)
-    if (row_sums == 0.0).any() or (col_sums == 0.0).any():
+    # One set of buffers per fit; each step runs in place on the same operands in the same order.
+    n_rows = init.n_rows
+    cells = init.cells.copy()
+    sums = np.empty(n_rows + init.n_cols)
+    row_sums, col_sums = sums[:n_rows], sums[n_rows:]
+    row_sums[:], col_sums[:] = cells.sum(axis=1), cells.sum(axis=0)
+    if (sums == 0.0).any():
         raise ValueError(
             "structurally infeasible: a row/column with positive target has no initial mass"
         )
 
     rows = row_target.probs
     cols = col_target.probs
+    targets = np.concatenate((rows, cols))
+    gaps = np.empty_like(sums)
+    row_scale = np.empty(n_rows)
+    row_scale_column = row_scale[:, None]
     for iteration in range(max_iter + 1):
-        deviation = max(
-            float(np.abs(row_sums - rows).max()), float(np.abs(col_sums - cols).max())
-        )
+        np.abs(np.subtract(sums, targets, out=gaps), out=gaps)
+        deviation = float(np.maximum.reduce(gaps))
+        if deviation != deviation:  # a NaN: max(row part, column part) decides
+            deviation = max(float(np.maximum.reduce(g)) for g in (gaps[:n_rows], gaps[n_rows:]))
         if deviation < tol:
             return IpfResult(JointDistribution(cells), iteration, True, deviation)
         if iteration == max_iter:
             break
-        cells = _scale_columns(cells, col_sums, cols)
-        cells = cells * (rows / cells.sum(axis=1))[:, None]
-        row_sums, col_sums = cells.sum(axis=1), cells.sum(axis=0)
+        _scale_columns(cells, col_sums, cols)
+        np.divide(rows, np.add.reduce(cells, 1, out=row_sums), out=row_scale)
+        cells *= row_scale_column
+        np.add.reduce(cells, 1, out=row_sums)
+        np.add.reduce(cells, 0, out=col_sums)
     return IpfResult(JointDistribution(cells), max_iter, False, deviation)

@@ -111,6 +111,8 @@ def write_text(path, text: str) -> None:
 
 _TABLE_HEADER_RE = re.compile(r"^#rows=([0-9]+) cols=([0-9]+)\s*$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# A line of _INT_RE tokens, each within the whitespace str.strip() removes (re's \s).
+_INT_LINE_RE = re.compile(rf"\s*{_INT_RE.pattern}\s*(?:,\s*{_INT_RE.pattern}\s*)*")
 
 
 def _data_lines(lines: list[str], start: int):
@@ -125,10 +127,23 @@ def _data_lines(lines: list[str], start: int):
 def _row(text: str, source: str, line_no: int, n_cols: int | None, convert) -> list:
     """``convert`` of each comma-separated value of line ``line_no``, which
     must have ``n_cols`` values (any number when None; a blank line has none).
-    A ValueError from ``convert`` is a parse error on that line."""
+    A ValueError from ``convert`` (``_count``, ``_int`` or ``_float``) is a parse
+    error on that line. The line's grammar and range are checked once, as a whole;
+    only a line that fails goes through ``convert`` token by token."""
     tokens = [t.strip() for t in text.split(",")] if text.strip() or n_cols else []
     if n_cols is not None and len(tokens) != n_cols:
         raise ParseError(source, line_no, f"expected {n_cols} columns, got {len(tokens)}")
+    try:
+        if convert is _float:
+            if text.isascii() and "_" not in text:
+                return list(map(float, tokens))
+        elif _INT_LINE_RE.fullmatch(text):
+            values = list(map(int, tokens))
+            low = 0 if convert is _count else -INT64_MAX - 1
+            if low <= min(values) and max(values) <= INT64_MAX:
+                return values
+    except ValueError:
+        pass
     try:
         return [convert(token) for token in tokens]
     except ValueError as exc:
@@ -250,7 +265,7 @@ def parse_marginal_text(
     if len(data) > 1:
         raise ParseError(source, data[1][0], "expected a single marginal data line")
     line_no, content = data[0]
-    from_counts = all(_INT_RE.fullmatch(tok) for tok in _row(content, source, line_no, None, str))
+    from_counts = _INT_LINE_RE.fullmatch(content) is not None
     values = _row(content, source, line_no, None, _count if from_counts else _float)
     if from_counts:
         total = sum(values)

@@ -195,6 +195,20 @@ class TestChi2ReductionBound:
         with pytest.raises(ValueError, match="> 0"):
             chi2_reduction_bound(JointDistribution([[0.5, 0.5], [0.0, 0.0]]))
 
+    def test_zero_cell_with_underflowed_expected_value_adds_nothing(self):
+        # r_2 * c_2 = 0.333... * 5e-324 underflows to 0 where p_22 = 0.
+        table = JointDistribution([[0.6666666666666666, 5e-324], [0.3333333333333333, 0.0]])
+        with np.errstate(divide="raise", invalid="raise"):
+            assert chi2_reduction_bound(table) == 0.0
+
+    def test_positive_expected_cells_keep_the_plain_sum(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            table = random_joint(rng, max_dim=8)
+            expected = np.outer(table.cells.sum(axis=1), table.cells.sum(axis=0))
+            plain = float(((table.cells - expected) ** 2 / expected).sum())
+            assert chi2_reduction_bound(table) == plain
+
 
 class TestEffectiveSampleFactor:
     def test_uniform_weights(self):

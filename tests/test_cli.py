@@ -12,6 +12,7 @@ import margfit.simulation as simulation
 from helpers import random_joint
 from margfit import asymptotic_reduction
 from margfit.cli import main
+from margfit.tables import PROB_TOL
 from margfit.io import (
     load_destatis2014,
     load_gidas_table3,
@@ -812,3 +813,50 @@ class TestNumberFlagsFollowTheFileGrammar:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "usage error: argument --max-iter: invalid int value: 'many'\n"
+
+
+class TestSubnormalColumnSums:
+    """A column whose sum is subnormal has a scale target / sum beyond the
+    float range; its cells are divided by the sum before the target
+    multiplies them, so the table is still rescaled."""
+
+    TABLE = "#rows=1 cols=3\n0.9999999999999999,1e-320,1e-300\n"
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        texts = {"table": self.TABLE, "rows": "1\n", "cols": "7,3,1\n"}
+        for role, text in texts.items():
+            write_text(tmp_path / f"{role}.csv", text)
+        return {role: str(tmp_path / f"{role}.csv") for role in texts}
+
+    def test_adjust_hits_the_marginal(self, capsys, files):
+        code, out, err = run(
+            capsys, "adjust", "--table", files["table"], "--marginal", files["cols"]
+        )
+        assert (code, err) == (0, "")
+        sections = parse_sections_text(out)
+        column_sums = sections["adjusted_cells"].sum(axis=0)
+        np.testing.assert_allclose(column_sums, [7 / 11, 3 / 11, 1 / 11], rtol=0, atol=PROB_TOL)
+        assert sections["zero_columns"].size == 0
+
+    def test_ipf_converges(self, capsys, files):
+        code, out, err = run(
+            capsys, "ipf", "--table", files["table"],
+            "--row-marginal", files["rows"], "--col-marginal", files["cols"],
+        )
+        assert (code, err) == (0, "")
+        sections = parse_sections_text(out)
+        assert sections["converged"][0, 0] == 1
+        np.testing.assert_allclose(
+            sections["fitted"].sum(axis=0), [7 / 11, 3 / 11, 1 / 11], rtol=0, atol=1e-10
+        )
+
+
+class TestChi2BoundWithUnderflowedExpectedCell:
+    def test_zero_cell_with_zero_expected_value_adds_nothing(self, capsys, tmp_path):
+        # r_2 * c_2 = 0.333... * 5e-324 underflows to 0, and p_22 is 0.
+        path = tmp_path / "t.csv"
+        write_text(path, "#rows=2 cols=2\n0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
+        code, out, err = run(capsys, "asymptotics", "--table", str(path))
+        assert (code, err) == (0, "")
+        assert np.isfinite(parse_sections_text(out)["chi2_bound"]).all()

@@ -405,6 +405,54 @@ class TestIpfMaxDeviation:
         assert (result.iterations, result.max_deviation) == (0, 0.0)
 
 
+class TestIpfBuffers:
+    def test_two_fits_return_independent_tables(self):
+        rng = np.random.default_rng(53)
+        table = bounded_random_joint(rng, 4, 3)
+        first = ipf_fit(table, *random_targets(rng, table))
+        kept = first.table.cells.copy()
+        second = ipf_fit(table, *random_targets(rng, table))
+        assert np.array_equal(first.table.cells, kept)
+        assert not np.shares_memory(first.table.cells, second.table.cells)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 1000])
+    def test_init_is_untouched(self, max_iter):
+        rng = np.random.default_rng(59 + max_iter)
+        table, rows, cols = random_ipf_problem(rng)
+        before = table.cells.copy()
+        result = ipf_fit(table, rows, cols, max_iter=max_iter)
+        assert np.array_equal(table.cells, before)
+        assert not np.shares_memory(result.table.cells, table.cells)
+
+
+class TestSubnormalColumnSum:
+    """target / col_sum overflows for a subnormal column sum; that column is
+    divided by its sum first, every other column keeps its scale."""
+
+    CELLS = [[0.5, 1e-320, 1e-300, 0.0], [0.4999999999999999, 0.0, 0.0, 0.0]]
+
+    def test_adjust_hits_the_marginal(self):
+        table = JointDistribution(self.CELLS)
+        known = marg([0.4, 0.3, 0.2, 0.1])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            adjusted = adjust_to_known_marginal(table, known)
+        assert adjusted.zero_column_mask == {3}
+        cells = np.array(self.CELLS)
+        assert np.array_equal(adjusted.cells[:, 1], cells[:, 1] / 1e-320 * 0.3)
+        for j in (0, 2):
+            scale = known.probs[j] / cells[:, j].sum()
+            assert np.array_equal(adjusted.cells[:, j], cells[:, j] * scale)
+        assert np.array_equal(ipf_column_step(table, known), adjusted.cells)
+
+    def test_ipf_converges(self):
+        table = JointDistribution([row[:3] for row in self.CELLS])
+        rows, cols = marg([0.6, 0.4], "row"), marg([0.5, 0.3, 0.2])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = ipf_fit(table, rows, cols)
+        assert result.converged
+        assert result.max_deviation == deviation(result.table.cells, rows, cols)
+
+
 class TestWeightVectorUniform:
     def test_size_must_be_a_positive_integer(self):
         for n in (0, -1, 2.5, True, "3"):

@@ -4,17 +4,26 @@ ValueError."""
 
 import json
 import math
+import struct
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from margfit import ExperimentConfig
+import numpy as np
+
+from margfit import ExperimentConfig, MarginalDistribution
 from margfit.io import (
     CASE_STUDY_COLUMNS,
     GRID_COLUMNS,
+    _INT_RE,
     ParseError,
+    _count,
+    _data_lines,
+    _float,
+    _int,
+    _row,
     case_study_from_json_dict,
     grid_from_json_dict,
     grid_to_json_dict,
@@ -173,3 +182,111 @@ def test_accepted_grid_record_is_a_cell_run_experiment_can_write(record):
     assert repr(from_csv.cells) == repr(grid.cells)
     payload = json.loads(json.dumps(grid_to_json_dict(grid, GRID_CONFIG)))
     assert repr(grid_from_json_dict(payload).cells) == repr(grid.cells)
+
+
+def per_token_row(text, source, line_no, n_cols, convert):
+    """The reference reader: ``convert`` of each stripped token on its own,
+    with the column count and error wording of ``margfit.io._row``."""
+    tokens = [t.strip() for t in text.split(",")] if text.strip() or n_cols else []
+    if n_cols is not None and len(tokens) != n_cols:
+        raise ParseError(source, line_no, f"expected {n_cols} columns, got {len(tokens)}")
+    try:
+        return [convert(token) for token in tokens]
+    except ValueError as exc:
+        raise ParseError(source, line_no, str(exc)) from None
+
+
+def per_token_marginal(line_no, content):
+    """(marginal, from counts) as parse_marginal_text reads the single data
+    line ``content``, choosing counts or probabilities token by token."""
+    tokens = per_token_row(content, "<string>", line_no, None, str)
+    from_counts = all(_INT_RE.fullmatch(token) for token in tokens)
+    values = per_token_row(content, "<string>", line_no, None, _count if from_counts else _float)
+    if from_counts:
+        total = sum(values)
+        if total == 0:
+            raise ParseError("<string>", line_no, "counts sum to zero")
+        probs = np.array(values, dtype=np.int64) / total
+    else:
+        probs = np.array(values, dtype=np.float64)
+    try:
+        return MarginalDistribution(probs, axis="column"), from_counts
+    except ValueError as exc:
+        raise ParseError("<string>", line_no, str(exc)) from None
+
+
+def outcome(read, *args):
+    """What ``read`` gives: each value with its type and bits, or the text of
+    its ParseError."""
+    try:
+        values = read(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", [(type(v), struct.pack("<d", v) if type(v) is float else v) for v in values]
+
+
+# Every edge of the number grammar, the int64 range and str.strip(): signs,
+# leading zeros, -0, underscores, non-ASCII digits, non-finite floats, empty
+# tokens, and the non-ASCII whitespace that strip() removes around a token
+# (U+2003 em space, U+00A0 no-break space, U+001C file separator).
+CORES = st.sampled_from(
+    [
+        "0", "7", "+7", "-7", "-0", "+0", "007", "-007", "1_0", "\u0661\u0662", "\uff13",
+        str(2**63 - 2), str(2**63 - 1), str(2**63), str(-(2**63) + 1), str(-(2**63)),
+        str(-(2**63) - 1), "1" * 30, "0.5", "-0.0", ".5", "1e400", "-1e400", "5e-324",
+        "nan", "-nan", "inf", "-inf", "Infinity", "1.5e", "x", "", "+", "-", " ",
+    ]
+)
+PADS = st.sampled_from(["", " ", "\t", "\u2003", "\x1c", "\u00a0", "\n"])
+ROW_TOKENS = st.one_of(st.tuples(PADS, CORES, PADS).map("".join), st.text(max_size=4))
+ROW_LINES = st.lists(ROW_TOKENS, max_size=6).map(",".join)
+CONVERTERS = [_count, _int, _float]
+
+
+@pytest.mark.parametrize("convert", CONVERTERS, ids=lambda f: f.__name__)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line=ROW_LINES, n_cols=st.sampled_from([None, "width", "width", 0, 2]))
+@example(line="", n_cols=None)
+@example(line="", n_cols=0)
+@example(line="1,2,", n_cols=None)
+@example(line=f"{2**63 - 1},-{2**63}", n_cols=2)
+@example(line=f"\u2003{2**63}\x1c,0", n_cols=None)
+@example(line="1,\u0662", n_cols=None)
+@example(line="\u2003-0.5 , 1_0", n_cols=None)
+@example(line="0.5,1_0", n_cols=None)
+def test_row_reads_as_the_per_token_reader(convert, line, n_cols):
+    if n_cols == "width":
+        n_cols = line.count(",") + 1
+    args = (line, "<string>", 3, n_cols, convert)
+    assert outcome(_row, *args) == outcome(per_token_row, *args)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line=ROW_LINES)
+@example(line="1,2,")
+@example(line="3, 1")
+@example(line="\u20033\u2003,1\x1c")
+@example(line="0.25,0.75")
+@example(line="-0,1")
+@example(line="1_0,1")
+@example(line="\u0661,1")
+@example(line=f"{2**63},1")
+def test_marginal_reads_as_the_per_token_reader(line):
+    text = line + "\n"
+    data = list(_data_lines(text.splitlines(), 0))
+    assume(len(data) == 1)
+    try:
+        expected = "ok", per_token_marginal(*data[0])
+    except ParseError as exc:
+        expected = "error", str(exc)
+    try:
+        parsed = parse_marginal_text(text)
+        got = "ok", (parsed.marginal, parsed.normalized_from_counts)
+    except ParseError as exc:
+        got = "error", str(exc)
+    if got[0] == expected[0] == "ok":
+        (marginal, from_counts), (want, want_counts) = got[1], expected[1]
+        assert from_counts == want_counts
+        assert marginal.probs.tobytes() == want.probs.tobytes()
+    else:
+        assert got == expected
