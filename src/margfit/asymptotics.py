@@ -174,9 +174,12 @@ def chi2_reduction_bound(p: JointDistribution) -> float:
     if (row == 0.0).any() or (col == 0.0).any():
         raise ValueError("all row and column marginals must be > 0")
     expected = np.outer(row, col)
-    # A cell whose expected value underflows to 0 and whose probability is 0 adds 0.
     terms = np.zeros_like(expected)
-    np.divide((p.cells - expected) ** 2, expected, out=terms, where=(expected > 0) | (p.cells > 0))
+    np.divide((p.cells - expected) ** 2, expected, out=terms, where=expected > 0)
+    # A cell whose expected value underflows to 0 adds 0 when its probability
+    # is 0, else the same term as r_i (p_ij / r_i - c_j)^2 / c_j.
+    i, j = np.nonzero((expected == 0) & (p.cells > 0))
+    terms[i, j] = row[i] * (p.cells[i, j] / row[i] - col[j]) ** 2 / col[j]
     return float(terms.sum())
 
 

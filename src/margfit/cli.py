@@ -7,7 +7,9 @@ repeated invocations emit identical bytes.
 The parser is built once per process, on the first :func:`main` call, and
 reused after that, so ``main`` may be called repeatedly in one process and
 gives the same bytes each time. :func:`build_parser` still returns a fresh
-parser on every call.
+parser on every call. A command line that starts with a subcommand name is
+parsed by that subcommand's parser alone, and anything else by the full
+parser, with the same messages either way.
 """
 
 from __future__ import annotations
@@ -249,10 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _parse_args(argv: list[str]):
+    """``argv`` parsed as the full parser would; one that starts with a command
+    name goes straight to that command's parser, where the full parser sends it."""
+    parser = _shared_parser()
+    (commands,) = parser._subparsers._group_actions
+    if argv and argv[0] in commands.choices:
+        return commands.choices[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     text = None  # set once every input has been read
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         # A floating-point fault is one exit-3 line, not a warning on stderr.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             text = _render(args, args.handler(args))

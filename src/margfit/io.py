@@ -98,10 +98,14 @@ def _fmt(x: float) -> str:
 def _read_text(path) -> str:
     """The UTF-8 text of the file at ``path``; other bytes are a parse error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
         raise ParseError(str(path), 1, message) from None
+    except OSError as exc:
+        exc.filename = str(Path(path))  # pathlib's spelling: "d" for "d/" or "d/."
+        raise
 
 
 def write_text(path, text: str) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from margfit.io import (
     parse_case_study_csv_text,
     parse_grid_csv_text,
     parse_sections_text,
+    read_count_table,
     read_joint_table,
     render_joint_table,
     write_text,
@@ -531,6 +533,49 @@ class TestUnreadableInputExitCode:
         assert str(out_path) in err
 
 
+class TestReadErrorNamesArePathlibs:
+    # An unreadable input is named as pathlib spells its path: "d" for "d/."
+    # or "d//", "absent.csv" for "./absent.csv".
+    @pytest.mark.parametrize("spelling", ["./absent.csv", "{dir}/.", "{dir}//", "a//absent.csv"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--counts"],
+            ["asymptotics", "--table"],
+            ["case-study", "--marginal"],
+            ["simulate", "--config"],
+        ],
+    )
+    def test_cli_names_the_normalized_path(self, capsys, tmp_path, monkeypatch, command, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        arg = spelling.format(dir="d")
+        code, out, err = run(capsys, *command, arg)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: cannot read {Path(arg)}\n"
+
+    @pytest.mark.parametrize("spelling", ["{dir}/", "{dir}/."])
+    def test_library_error_names_the_normalized_path(self, tmp_path, spelling):
+        with pytest.raises(IsADirectoryError) as excinfo:
+            read_joint_table(spelling.format(dir=tmp_path))
+        assert str(excinfo.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_files_read_as_lf(self, capsys, tmp_path, newline):
+        outputs, tables = [], []
+        for name, eol in (("lf", "\n"), ("other", newline)):
+            counts = tmp_path / f"{name}-counts.csv"
+            marginal = tmp_path / f"{name}-marginal.csv"
+            counts.write_bytes("#rows=2 cols=2\n# c\n30,10\n\n10,50\n".replace("\n", eol).encode())
+            marginal.write_bytes("# m\n0.7,0.3\n".replace("\n", eol).encode())
+            outputs.append(run(capsys, "adjust", "--counts", str(counts), "--marginal", str(marginal)))
+            tables.append(read_count_table(counts))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+        assert tables[1] == tables[0]
+
+
 class TestParserReuse:
     def test_one_parser_serves_every_request(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -575,6 +620,104 @@ class TestParserReuse:
             code, _, _ = run(capsys, "estimate", "--counts", counts_file)
             assert code == 0
         assert built.count("margfit") <= 1
+
+
+def _reference_main(argv, monkeypatch):
+    """``main`` with every argv parsed by the full parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_args", cli._shared_parser().parse_args)
+        return main(argv)
+
+
+_C = ["--counts", "counts.csv"]
+_DISPATCH_CORPUS = [
+    ["estimate", *_C],
+    ["estimate", *_C, "--format=json"],
+    ["estimate", *_C, "--format", "json"],
+    ["estimate", *_C, "--out", "out.csv"],
+    ["estimate", *_C, "--format", "json", "--format", "csv"],
+    ["estimate", "--count", "counts.csv"],
+    ["adjust", *_C, "--marginal", "cols.csv"],
+    ["adjust", "--table", "table.csv", "--marginal", "cols.csv", "--format=json"],
+    ["asymptotics", "--table", "table.csv"],
+    ["asymptotics", *_C, "--out", "out.csv", "--format", "json"],
+    ["simulate", "--config", "config.json", "--replications", "3", "--seed", "5"],
+    ["case-study"],
+    ["case-study", "--format", "json"],
+    [*_IPF, "--tol", "1e-12", "--max-iter", "50"],
+    [*_IPF, "--max-iter", "2", "--format=json"],
+    # usage and parse errors
+    ["estimate"],
+    ["ipf", *_C, "--row-marginal", "rows.csv"],
+    ["estimate", *_C, "--bogus"],
+    ["estimate", *_C, "extra"],
+    [*_IPF, "--max-iter", "1.5"],
+    [*_IPF, "--tol", "abc"],
+    ["simulate", "--config", "config.json", "--seed", "x"],
+    ["simulate", "--config", "config.json", "--seed", "-1"],
+    ["adjust", *_C, "--table", "table.csv", "--marginal", "cols.csv"],
+    ["estimate", "--counts", "absent.csv"],
+    # -- before and after a flag
+    ["estimate", "--", *_C],
+    ["estimate", *_C, "--"],
+    ["estimate", *_C, "--", "--format", "json"],
+    ["estimate", "--counts", "--", "counts.csv"],
+    ["--", "estimate", *_C],
+    # not starting with a command name
+    ["--format", "json", "estimate", *_C],
+    ["estmate", *_C],
+    ["Estimate", *_C],
+    [],
+]
+
+
+class TestDispatchMatchesFullParser:
+    # A command line that starts with a command name skips the full parser;
+    # every outcome must be the one the full parser gives.
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _PINNED_FILES.items():
+            write_text(tmp_path / name, text)
+        write_text(tmp_path / "table.csv", "#rows=2 cols=2\n0.25,0.25\n0.25,0.25\n")
+        return tmp_path
+
+    def outcome(self, capsys, files, call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        written = None
+        if (files / "out.csv").exists():
+            written = (files / "out.csv").read_text()
+            (files / "out.csv").unlink()
+        return code, out, err, written
+
+    @pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+    def test_same_exit_code_stdout_stderr_and_out_file(self, capsys, monkeypatch, files, argv):
+        got = self.outcome(capsys, files, lambda: main(list(argv)))
+        want = self.outcome(capsys, files, lambda: _reference_main(list(argv), monkeypatch))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "argv", [["ipf", "-h"], ["estimate", *_C, "--help"], ["case-study", "--he"], ["-h"]]
+    )
+    def test_help(self, capsys, monkeypatch, files, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self.outcome(capsys, files, lambda: main(list(argv)))
+        want = self.outcome(capsys, files, lambda: _reference_main(list(argv), monkeypatch))
+        assert got[0] == ("SystemExit", 0) and got[1].startswith("usage: margfit")
+        assert got == want
+
+    def test_command_first_argv_is_parsed_once(self, capsys, monkeypatch, files):
+        def full_parse(*args, **kwargs):
+            raise cli.UsageError("parsed by the full parser")
+
+        monkeypatch.setattr(cli._shared_parser(), "parse_known_args", full_parse)
+        assert run(capsys, "estimate", *_C)[0] == 0
+        code, _, err = run(capsys, "--format", "json", "estimate", *_C)
+        assert (code, err) == (1, "usage error: parsed by the full parser\n")
 
 
 class TestHelp:
@@ -860,3 +1003,12 @@ class TestChi2BoundWithUnderflowedExpectedCell:
         code, out, err = run(capsys, "asymptotics", "--table", str(path))
         assert (code, err) == (0, "")
         assert np.isfinite(parse_sections_text(out)["chi2_bound"]).all()
+
+    def test_positive_cell_with_zero_expected_value_is_computed(self, capsys, tmp_path):
+        # r_1 * c_1 = 1e-324 and p_11**2 both underflow to 0; the cell adds
+        # r_1 (p_11 / r_1 - c_1)**2 / c_1 = 1 and the other four nonzero terms 1/4.
+        path = tmp_path / "t.csv"
+        write_text(path, "#rows=3 cols=3\n1e-162,0,0\n0,0.5,0\n0,0,0.5\n")
+        code, out, err = run(capsys, "asymptotics", "--table", str(path))
+        assert (code, err) == (0, "")
+        assert parse_sections_text(out)["chi2_bound"].tolist() == [[2.0]]

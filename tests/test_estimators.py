@@ -5,6 +5,7 @@ from helpers import bounded_random_joint, random_joint
 from margfit import (
     AdjustedTable,
     CloneCounts,
+    CountTable,
     JointDistribution,
     MarginalDistribution,
     WeightVector,
@@ -19,7 +20,8 @@ from margfit import (
     row_marginal,
     weighted_frequencies,
 )
-from margfit.io import load_gidas_table3
+from margfit.asymptotics import effective_sample_factor
+from margfit.io import load_destatis2014, load_gidas_table3
 
 
 def marg(values, axis="column"):
@@ -193,6 +195,56 @@ class TestAdjustToKnownMarginal:
             defined = np.isfinite(before)
             assert np.array_equal(defined, np.isfinite(after))
             np.testing.assert_allclose(after[defined], before[defined], atol=1e-12)
+
+
+def post_stratified_and_weighted(counts: CountTable, known: MarginalDistribution):
+    """The adjusted row marginal of ``counts`` and the weighted frequencies of
+    its row labels, each observation in column j weighted c_j / N_j, with a
+    bound on their distance from float rounding alone, and the weights."""
+    cells = counts.counts
+    n_rows, n_cols = cells.shape
+    adjusted = adjusted_row_marginal(adjust_to_known_marginal(empirical_joint(counts), known))
+    labels = np.repeat(np.arange(1, n_rows + 1), cells.sum(axis=1))
+    columns = np.concatenate([np.repeat(np.arange(n_cols), row) for row in cells])
+    weights = WeightVector(known.probs[columns] / cells.sum(axis=0)[columns])
+    weighted = weighted_frequencies(labels, weights, n_rows)
+    # Both are sums of the nonnegative terms C_ij c_j / N_j. The adjusted one
+    # rounds each term at most n_rows + 3 times (C_ij / N, the column sum, the
+    # scale, the product) and adds n_cols of them; the weighted one rounds each
+    # weight once and adds row i's N_i of them one by one. With
+    # gamma_k = k u / (1 - k u), each lies within gamma_k x_i of the exact x_i.
+    u = np.finfo(np.float64).eps / 2
+    g_adjusted = (n_rows + n_cols + 2) * u / (1 - (n_rows + n_cols + 2) * u)
+    g_weighted = cells.sum(axis=1) * u / (1 - cells.sum(axis=1) * u)
+    bound = (g_adjusted + g_weighted) * adjusted / (1 - g_adjusted)
+    return adjusted, weighted, bound, weights
+
+
+class TestPostStratificationIsWeighting:
+    # Adjusting the empirical table to a known column marginal is weighting
+    # each observation by its column's known over observed share.
+    def test_random_count_tables(self):
+        rng = np.random.default_rng(2301)
+        for _ in range(200):
+            table = random_joint(rng)
+            n = int(rng.integers(20, 10001))
+            cells = rng.multinomial(n, table.cells.ravel()).reshape(table.dims)
+            if (cells.sum(axis=0) == 0).any():
+                continue
+            known = 0.1 + rng.random(table.n_cols)
+            adjusted, weighted, bound, _ = post_stratified_and_weighted(
+                CountTable(cells), marg(known / known.sum())
+            )
+            assert (np.abs(adjusted - weighted) <= bound).all()
+
+    def test_accident_case(self):
+        counts = load_gidas_table3()
+        adjusted, weighted, bound, weights = post_stratified_and_weighted(
+            counts, load_destatis2014()
+        )
+        assert (np.abs(adjusted - weighted) <= bound).all()
+        # Kish's design effect n sum_t w_t^2 of these weights.
+        assert round(counts.total * effective_sample_factor(weights), 3) == 1.079
 
 
 class TestAdjustedRowMarginal:
