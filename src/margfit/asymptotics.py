@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import WeightVector
-from .tables import JointDistribution, MarginalDistribution, _array, _fields_equal, _frozen
+from .tables import JointDistribution, MarginalDistribution, _array, _coerce, _fields_equal, _frozen
 
 __all__ = [
     "CovarianceMatrix",
@@ -72,15 +72,9 @@ class CovarianceMatrix:
     __eq__ = _fields_equal
 
 
-def _as_prob_vector(p) -> np.ndarray:
-    if not isinstance(p, MarginalDistribution):
-        p = MarginalDistribution(p, axis="row")
-    return p.probs
-
-
 def multinomial_covariance(p) -> CovarianceMatrix:
     """diag(p) - p p^T: limit covariance of plain relative frequencies."""
-    probs = _as_prob_vector(p)
+    probs = _coerce(p, MarginalDistribution, "row").probs
     return CovarianceMatrix(np.diag(probs) - np.outer(probs, probs))
 
 
@@ -190,4 +184,4 @@ def effective_sample_factor(w: WeightVector) -> float:
     weights; weighted estimates converge at rate 1/sqrt(sum w^2) instead of
     1/sqrt(n).
     """
-    return float(np.sum(w.weights**2))
+    return float(np.sum(_coerce(w, WeightVector).weights**2))

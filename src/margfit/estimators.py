@@ -2,8 +2,8 @@
 
 The central operation is :func:`adjust_to_known_marginal`, which rescales an
 empirical joint table column by column so that its column marginal matches a
-marginal known exactly from an external source. The same column step is the
-first half-iteration of :func:`ipf_fit`, bit for bit.
+marginal known exactly from an external source. That is one IPF column
+half-step, and both half-steps of :func:`ipf_fit` are the same guarded scaling.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .tables import (
     JointDistribution,
     MarginalDistribution,
     _array,
+    _coerce,
     _counts,
     _fields_equal,
     _frozen,
@@ -111,6 +112,7 @@ def weighted_frequencies(
 
     With uniform weights this is exactly the vector of relative frequencies.
     """
+    weights = _coerce(weights, WeightVector)
     xs, n_categories = _check_categories(xs, n_categories)
     if xs.shape[0] != len(weights):
         raise ValueError(
@@ -124,6 +126,7 @@ def cloned_frequencies(
 ) -> np.ndarray:
     """Frequencies of the artificially enlarged sample where observation t is
     repeated clones[t] times; identical to weighting by clones[t]/total."""
+    clones = _coerce(clones, CloneCounts)
     xs, _ = _check_categories(xs, n_categories)
     if xs.shape[0] != len(clones):
         raise ValueError(
@@ -177,8 +180,10 @@ class AdjustedTable:
 def _scale_columns(cells: np.ndarray, col_sums: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Multiply each column of ``cells`` in place by target / its sum in
     ``col_sums`` and return ``cells``; empty columns stay zero, and a column
-    whose scale overflows (a subnormal sum) is divided by its sum first."""
-    if np.minimum.reduce(col_sums) >= sys.float_info.min:  # no scale can overflow
+    whose scale overflows (a subnormal sum) is divided by its sum first.
+    Both IPF half-steps use it: the row step passes ``cells.T``."""
+    # No scale can overflow. A Python min: a ufunc reduce costs more on a table's few sums.
+    if min(col_sums.tolist()) >= sys.float_info.min:
         return np.multiply(cells, target / col_sums, out=cells)
     with np.errstate(over="ignore"):
         scale = np.divide(target, col_sums, out=np.zeros_like(col_sums), where=col_sums > 0)
@@ -214,12 +219,10 @@ def adjust_to_known_marginal(
             f"known marginal has length {len(col)} but the table has {phat.n_cols} columns"
         )
     col.require_positive("known column marginal")
-    col_sums = phat.cells.sum(axis=0)
-    empty = np.flatnonzero(col_sums == 0.0)
     return AdjustedTable(
-        cells=_scale_columns(phat.cells.copy(), col_sums, col.probs),
+        cells=ipf_column_step(phat, col),
         known_col_marginal=col,
-        zero_column_mask=frozenset(int(j) for j in empty),
+        zero_column_mask=np.flatnonzero(~phat.cells.any(axis=0)),
     )
 
 
@@ -260,7 +263,9 @@ def ipf_fit(
     marginal from its target drops below ``tol`` or ``max_iter`` full
     iterations have run. Zero cells stay zero and cross-product ratios of
     positive cells are preserved at every step. Each pass sums the columns
-    once, for both the convergence test and the column step.
+    once, for both the convergence test and the column step. Both steps
+    rescale a row or column with a subnormal sum; a fit in which one
+    underflows to zero is refused as infeasible.
     """
     if len(row_target) != init.n_rows or len(col_target) != init.n_cols:
         raise ValueError("target marginal lengths must match the table dims")
@@ -286,20 +291,16 @@ def ipf_fit(
     cols = col_target.probs
     targets = np.concatenate((rows, cols))
     gaps = np.empty_like(sums)
-    row_scale = np.empty(n_rows)
-    row_scale_column = row_scale[:, None]
     for iteration in range(max_iter + 1):
         np.abs(np.subtract(sums, targets, out=gaps), out=gaps)
         deviation = float(np.maximum.reduce(gaps))
-        if deviation != deviation:  # a NaN: max(row part, column part) decides
-            deviation = max(float(np.maximum.reduce(g)) for g in (gaps[:n_rows], gaps[n_rows:]))
-        if deviation < tol:
-            return IpfResult(JointDistribution(cells), iteration, True, deviation)
-        if iteration == max_iter:
+        if deviation < tol or iteration == max_iter:
             break
         _scale_columns(cells, col_sums, cols)
-        np.divide(rows, np.add.reduce(cells, 1, out=row_sums), out=row_scale)
-        cells *= row_scale_column
+        _scale_columns(cells.T, np.add.reduce(cells, 1, out=row_sums), rows)
         np.add.reduce(cells, 1, out=row_sums)
         np.add.reduce(cells, 0, out=col_sums)
-    return IpfResult(JointDistribution(cells), max_iter, False, deviation)
+    try:
+        return IpfResult(JointDistribution(cells), iteration, deviation < tol, deviation)
+    except ValueError:  # finite cells >= 0 fail only the sum: a row or column underflowed to 0
+        raise ValueError("structurally infeasible: a row/column underflowed to zero") from None

@@ -49,7 +49,7 @@ from .simulation import (
     GridCell,
 )
 from .tables import INT64_MAX, Axis, CountTable, JointDistribution, MarginalDistribution
-from .tables import _integer, _json_array, _json_object, _real
+from .tables import _integer, _json_array, _json_object
 
 __all__ = [
     "ParseError",
@@ -490,9 +490,7 @@ def case_study_from_json_dict(data: dict) -> CaseStudyResult:
     rows = []
     for entry in _json_array(data["rows"], "rows"):
         entry = _json_object(entry, "case-study row", _CASE_STUDY_FIELDS)
-        phat, ptilde, rel = (entry[key] for key in _CASE_STUDY_FIELDS)
-        rel = None if rel is None else _real(rel, "relative_difference_pct")
-        rows.append(CaseStudyRow(_real(phat, "phat"), _real(ptilde, "ptilde"), rel))
+        rows.append(CaseStudyRow(*(entry[key] for key in _CASE_STUDY_FIELDS)))
     zero_columns = _json_array(data["zero_columns"], "zero_columns")
     mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in zero_columns)
     return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)

@@ -88,6 +88,7 @@ from .tables import (
     CountTable,
     JointDistribution,
     MarginalDistribution,
+    _coerce,
     _integer,
     _json_array,
     _json_object,
@@ -204,6 +205,14 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
+def _not_nan(value, name: str) -> float:
+    """``value`` as a float by ``_real``, refusing NaN; an infinity is kept."""
+    value = _real(value, name)
+    if math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
+    return value
+
+
 # GridCell's fields in order: (CSV column and JSON key, attribute, type of a
 # present value, least value of an int). n and log_cpr are required; the
 # others are None when absent, an empty CSV field or a JSON null.
@@ -246,9 +255,7 @@ class GridCell:
                 if kind is int:
                     value = _integer(value, name, least)
                 elif kind is float:
-                    value = _real(value, name)
-                    if math.isnan(value):
-                        raise ValueError(f"{name} must not be NaN")
+                    value = _not_nan(value, name)
                 else:
                     value = _text(value, name)
                 object.__setattr__(self, attr, value)
@@ -354,10 +361,8 @@ def replicate_marginal_estimates(
     if not isinstance(stream_key, tuple):
         raise ValueError(f"stream_key must be a tuple of integers, got {stream_key!r}")
     stream_key = tuple(_integer(k, "each stream_key entry", 0) for k in stream_key)
-    if not isinstance(p, JointDistribution):
-        p = JointDistribution(p)
-    if not isinstance(known_col, MarginalDistribution):
-        known_col = MarginalDistribution(known_col, axis="column")
+    p = _coerce(p, JointDistribution)
+    known_col = _coerce(known_col, MarginalDistribution, "column")
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
         raise ValueError("known marginal length must match the number of columns")
@@ -400,11 +405,8 @@ def replicate_weighted_frequencies(
     one thread per available core; the output bits do not depend on how
     many.
     """
-    if not isinstance(probs, MarginalDistribution):
-        probs = MarginalDistribution(probs, axis="row")
-    if not isinstance(weights, WeightVector):
-        weights = WeightVector(weights)
-    probs = probs.probs
+    probs = _coerce(probs, MarginalDistribution, "row").probs
+    weights = _coerce(weights, WeightVector)
     replications = _integer(replications, "replications", 1)
     seed = _seed(seed)
     n = len(weights)
@@ -585,11 +587,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 @dataclass(frozen=True)
 class CaseStudyRow:
-    """Marginal estimates for one row, with and without the adjustment."""
+    """Marginal estimates for one row, with and without the adjustment. A NaN
+    is refused as in ``GridCell``; only ``relative_difference_pct`` may be None."""
 
     phat: float
     ptilde: float
     relative_difference_pct: float | None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None or name != "relative_difference_pct":
+                object.__setattr__(self, name, _not_nan(value, name))
 
 
 @dataclass(frozen=True)
@@ -620,5 +628,5 @@ def run_case_study(counts: CountTable, known_col: MarginalDistribution) -> CaseS
     rows = []
     for ph, pt in zip(phat_rows, ptilde_rows):
         rel = 100.0 * (float(pt) / float(ph) - 1.0) if ph > 0 else None
-        rows.append(CaseStudyRow(phat=float(ph), ptilde=float(pt), relative_difference_pct=rel))
+        rows.append(CaseStudyRow(ph, pt, rel))
     return CaseStudyResult(rows=tuple(rows), zero_column_mask=adjusted.zero_column_mask)

@@ -128,6 +128,11 @@ def _json_array(value, name: str) -> list:
     return value
 
 
+def _coerce(value, kind, *args):
+    """``value`` if it is a ``kind``, else ``kind(value, *args)``."""
+    return value if isinstance(value, kind) else kind(value, *args)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` made read-only, so the value holding it cannot change."""
     arr.flags.writeable = False

@@ -995,6 +995,57 @@ class TestSubnormalColumnSums:
         )
 
 
+class TestSubnormalRowSums:
+    """After the column step a row can sum to a subnormal, whose scale
+    target / sum is beyond the float range; the row step is the same
+    guarded scaling as the column step, so the fit goes on."""
+
+    def fit(self, capsys, tmp_path, table, rows, cols, *extra):
+        texts = {"table": table, "rows": rows, "cols": cols}
+        for role, text in texts.items():
+            write_text(tmp_path / f"{role}.csv", text)
+        path = {role: str(tmp_path / f"{role}.csv") for role in texts}
+        return run(
+            capsys, "ipf", "--table", path["table"],
+            "--row-marginal", path["rows"], "--col-marginal", path["cols"], *extra,
+        )
+
+    def test_two_subnormal_cells_fit_in_one_iteration(self, capsys, tmp_path):
+        table = "#rows=2 cols=2\n1e-320,1e-320\n0.5,0.5\n"
+        code, out, err = self.fit(capsys, tmp_path, table, "0.5,0.5\n", "0.5,0.5\n")
+        assert (code, err) == (0, "")
+        sections = parse_sections_text(out)
+        assert sections["fitted"].tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert (sections["iterations"][0, 0], sections["converged"][0, 0]) == (1, 1)
+
+    def test_subnormal_row_targets_are_hit(self, capsys, tmp_path):
+        table = "#rows=3 cols=1\n1\n1e-320\n5e-324\n"
+        code, out, err = self.fit(
+            capsys, tmp_path, table, "5e-324,1.0,1e-16\n", "1.0\n", "--max-iter", "5"
+        )
+        assert (code, err) == (0, "")
+        sections = parse_sections_text(out)
+        assert sections["fitted"].tolist() == [[5e-324], [1.0], [1e-16]]
+        assert sections["converged"][0, 0] == 1
+
+    def test_infeasible_targets_run_out_of_iterations(self, capsys, tmp_path):
+        table = "#rows=3 cols=2\n1e-320,0\n0,0.5\n0.25,0.25\n"
+        code, out, err = self.fit(
+            capsys, tmp_path, table, "0.2,0.3,0.5\n", "0.999999,0.000001\n", "--max-iter", "50"
+        )
+        assert (code, err) == (0, "")
+        sections = parse_sections_text(out)
+        assert (sections["iterations"][0, 0], sections["converged"][0, 0]) == (50, 0)
+        assert np.isfinite(sections["fitted"]).all()
+
+    def test_row_whose_mass_underflows_to_zero_is_infeasible(self, capsys, tmp_path):
+        # The column step scales 5e-324 by 0.4 to 0; row 2 can never regain mass.
+        table = "#rows=2 cols=2\n0.5,0.5\n5e-324,0\n"
+        code, out, err = self.fit(capsys, tmp_path, table, "0.5,0.5\n", "0.2,0.8\n")
+        assert (code, out) == (3, "")
+        assert err == "error: structurally infeasible: a row/column underflowed to zero\n"
+
+
 class TestChi2BoundWithUnderflowedExpectedCell:
     def test_zero_cell_with_zero_expected_value_adds_nothing(self, capsys, tmp_path):
         # r_2 * c_2 = 0.333... * 5e-324 underflows to 0, and p_22 is 0.

@@ -177,6 +177,14 @@ def _assert_finite(out: str, fmt: str) -> None:
         },
     )
 )
+# The row step once divided a target by a subnormal row sum.
+@example(
+    case=(
+        ["ipf", "--table", "t.csv", "--row-marginal", "m.csv", "--col-marginal", "m.csv"]
+        + ["--format", "csv"],
+        {"t.csv": "#rows=2 cols=2\n1e-320,1e-320\n0.5,0.5\n", "m.csv": "0.5,0.5\n"},
+    )
+)
 def test_every_command_exits_with_a_documented_code(case):
     argv, files = case
     out, err = io.StringIO(), io.StringIO()

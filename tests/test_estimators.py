@@ -505,12 +505,107 @@ class TestSubnormalColumnSum:
         assert result.max_deviation == deviation(result.table.cells, rows, cols)
 
 
+class TestSubnormalRowSum:
+    """rows / row_sum overflows for a subnormal row sum after the column
+    step; the row step is the same guarded scaling, on the transpose."""
+
+    @pytest.mark.parametrize(
+        ("cells", "rows", "cols"),
+        [
+            ([[1e-320, 1e-320], [0.5, 0.5]], [0.5, 0.5], [0.5, 0.5]),
+            ([[1.0], [1e-320], [5e-324]], [5e-324, 1.0, 1e-16], [1.0]),
+        ],
+    )
+    def test_ipf_converges(self, cells, rows, cols):
+        table = JointDistribution(cells)
+        rows, cols = marg(rows, "row"), marg(cols)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = ipf_fit(table, rows, cols)
+        assert result.converged
+        assert result.max_deviation == deviation(result.table.cells, rows, cols)
+
+    def test_row_whose_mass_underflows_to_zero_is_infeasible(self):
+        # The column step scales 5e-324 by 0.4 to 0; row 1 can never regain mass.
+        table = JointDistribution([[0.5, 0.5], [5e-324, 0.0]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="underflowed to zero"):
+                ipf_fit(table, marg([0.5, 0.5], "row"), marg([0.2, 0.8]))
+
+
+def subnormal_ipf_problem(rng):
+    """A random table whose cells are zero, subnormal or ordinary, every row
+    and column keeping a positive cell, with random positive targets."""
+    shape = tuple(rng.integers(1, 6, size=2))
+    kinds = rng.integers(3, size=shape)  # 0 zero, 1 subnormal, 2 ordinary
+    kinds.flat[rng.integers(kinds.size)] = 2
+    ordinary = rng.random(shape) * (kinds == 2)
+    cells = ordinary / ordinary.sum() + rng.random(shape) * 1e-310 * (kinds == 1)
+    for index in (
+        (np.arange(shape[0]), rng.integers(shape[1], size=shape[0])),
+        (rng.integers(shape[0], size=shape[1]), np.arange(shape[1])),
+    ):
+        cells[index] = np.maximum(cells[index], 5e-324)
+    table = JointDistribution(cells)
+    return (table, *random_targets(rng, table))
+
+
+class TestIpfCellsStayFinite:
+    """With both half-steps guarded, no finite table scales to an infinite or
+    NaN cell, so the fit runs under the CLI's errstate without a
+    floating-point fault. Its one refusal is a row or column whose every
+    cell underflowed to zero."""
+
+    def test_random_subnormal_tables(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            table, rows, cols = subnormal_ipf_problem(rng)
+            tol, max_iter = 1e-10, int(rng.integers(0, 40))
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    result = ipf_fit(table, rows, cols, tol=tol, max_iter=max_iter)
+            except ValueError as exc:
+                assert "underflowed to zero" in str(exc)
+                continue
+            assert np.isfinite(result.table.cells).all()
+            if result.converged:
+                assert deviation(result.table.cells, rows, cols) < tol
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    cells, iterations, converged = reference_ipf(table, rows, cols, tol, max_iter)
+            except FloatingPointError:
+                continue
+            assert np.array_equal(result.table.cells, cells)
+            assert (result.iterations, result.converged) == (iterations, converged)
+
+
 class TestWeightVectorUniform:
     def test_size_must_be_a_positive_integer(self):
         for n in (0, -1, 2.5, True, "3"):
             with pytest.raises(ValueError, match="^n must be"):
                 WeightVector.uniform(n)
         assert WeightVector.uniform(4.0) == WeightVector([0.25] * 4)
+
+
+class TestWeightingTakesPlainSequences:
+    """A plain sequence becomes the value type, so a bad one is its ValueError."""
+
+    def test_sequence_gives_the_value_type_result(self):
+        xs = [1, 2, 2]
+        by_type = weighted_frequencies(xs, WeightVector([0.5, 0.25, 0.25]))
+        assert np.array_equal(weighted_frequencies(xs, [0.5, 0.25, 0.25]), by_type)
+        by_type = cloned_frequencies(xs, CloneCounts([2, 1, 1]))
+        assert np.array_equal(cloned_frequencies(xs, [2, 1, 1]), by_type)
+        assert effective_sample_factor([0.75, 0.25]) == effective_sample_factor(
+            WeightVector([0.75, 0.25])
+        )
+
+    def test_bad_sequence_is_the_value_type_error(self):
+        with pytest.raises(ValueError, match="^weights must sum to 1"):
+            weighted_frequencies([1, 2], [0.5, 0.6])
+        with pytest.raises(ValueError, match="^clone counts must be >= 1$"):
+            cloned_frequencies([1, 2], [1, 0])
+        with pytest.raises(ValueError, match="^weights must be finite and >= 0$"):
+            effective_sample_factor([1.5, -0.5])
 
 
 class TestReachableChecks:

@@ -388,6 +388,37 @@ class TestCsvRecordsReadNumbersLikeTables:
         assert info.value.line == 3
 
 
+def case_study_text(raw: str) -> str:
+    """A case-study CSV whose one record has the raw fields ``raw``."""
+    return "#zero_columns=\n" + ",".join(CASE_STUDY_COLUMNS) + f"\n1,50,50,0,{raw}\n"
+
+
+class TestCaseStudyValuesRefuseNaN:
+    """A NaN case-study value is refused as a NaN grid value is, since
+    run_case_study never writes one; an infinite one still reads."""
+
+    @pytest.mark.parametrize("raw", ["nan,0.5,0", "0.5,nan,0", "0.5,0.5,nan", "nan,-inf,1e999"])
+    def test_csv_nan_is_parse_error_on_its_line(self, raw):
+        with pytest.raises(ParseError, match="must not be NaN") as info:
+            parse_case_study_csv_text(case_study_text(raw), "c.csv")
+        assert (info.value.source, info.value.line) == ("c.csv", 3)
+
+    @pytest.mark.parametrize("key", ["phat", "ptilde", "relative_difference_pct"])
+    def test_json_nan_refused(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must not be NaN$"):
+            case_study_from_json_dict(case_study_json(**{"ptilde": -5.0, key: math.nan}))
+
+    def test_row_refuses_nan(self):
+        with pytest.raises(ValueError, match="^phat must not be NaN$"):
+            CaseStudyRow(math.nan, 0.5, None)
+
+    def test_infinite_values_read_from_both_formats(self):
+        from_csv = parse_case_study_csv_text(case_study_text("-inf,1e999,inf"))
+        infinite = {"phat": -math.inf, "ptilde": math.inf, "relative_difference_pct": math.inf}
+        from_json = case_study_from_json_dict(case_study_json(**infinite))
+        assert from_csv.rows == from_json.rows == (CaseStudyRow(-math.inf, math.inf, math.inf),)
+
+
 def grid_json(**fields):
     entry = dict.fromkeys(GRID_COLUMNS)
     entry.update(n=20, log_cpr=0.5, zero_columns=3)
