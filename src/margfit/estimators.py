@@ -196,8 +196,8 @@ def _scale_columns(cells: np.ndarray, col_sums: np.ndarray, target: np.ndarray) 
 def ipf_column_step(table: JointDistribution, col_target: MarginalDistribution) -> np.ndarray:
     """One IPF column half-step: the raw rescaled cells, no masking metadata.
 
-    This is the literal first half-iteration of :func:`ipf_fit` and the whole
-    of :func:`adjust_to_known_marginal`.
+    This is the literal first half-iteration of :func:`ipf_fit`;
+    :func:`adjust_to_known_marginal` scales to the same cells after its own length check.
     """
     if len(col_target) != table.n_cols:
         raise ValueError("target length must match the number of columns")
@@ -220,7 +220,7 @@ def adjust_to_known_marginal(
         )
     col.require_positive("known column marginal")
     return AdjustedTable(
-        cells=ipf_column_step(phat, col),
+        cells=_scale_columns(phat.cells.copy(), phat.cells.sum(axis=0), col.probs),
         known_col_marginal=col,
         zero_column_mask=np.flatnonzero(~phat.cells.any(axis=0)),
     )

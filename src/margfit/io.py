@@ -16,8 +16,13 @@ emitted file re-parses to the exact in-memory value. Formats:
   vectors one row; bool values are ``kind=int`` (0/1).
 * experiment grid: one CSV row per grid cell; the trailing ``error`` column
   is empty for cells that computed cleanly.
-* case study: percentage columns rounded to 4 significant digits next to
+* case study: display columns (the 1-based ``row``, which the reader checks,
+  and percentages rounded to 4 significant digits, which it skips) next to
   full-precision raw columns.
+
+A grid cell's or case-study row's values, CSV columns and JSON keys come
+from its record's one field table (``_GRID_FIELDS``, ``_CASE_STUDY_FIELDS``
+in :mod:`margfit.simulation`), which one CSV and one JSON codec here read.
 
 Numbers follow one grammar, in every file and in the CLI's number flags: an
 integer is ASCII digits after an optional sign (``_INT_RE``, the whole token),
@@ -33,7 +38,7 @@ import functools
 import io as _io
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib.resources import files
 from operator import attrgetter
 from pathlib import Path
@@ -41,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .simulation import (
+    _CASE_STUDY_FIELDS,
     _GRID_FIELDS,
     CaseStudyResult,
     CaseStudyRow,
@@ -348,11 +354,17 @@ def parse_sections_text(text: str, source: str = "<string>") -> dict[str, np.nda
 # CSV tables: experiment grid and case study
 
 
-def _csv_table(text: str, source: str, first_line: int, what: str, columns, build) -> list:
-    """``build`` of each non-empty record after the ``columns`` header of the
-    CSV ``text``, which starts at line ``first_line`` of ``source``. Text the
-    csv module cannot split, a record of the wrong length and a ValueError
-    from ``build`` are parse errors."""
+# A CSV field is read by the grammar of its type, and an empty one is None;
+# ``str`` of a value is its round-trip text.
+_CSV_READERS = {int: _integer_text, float: _float, str: str}
+
+
+def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind, table):
+    """The ``kind`` record of each non-empty CSV record after the ``columns``
+    header of ``text`` (line ``first_line`` of ``source``), which ends with its
+    ``table`` fields; the first of any display columns before them is its
+    1-based position. Text the csv module cannot split, a record of the wrong
+    length or out of sequence and a value ``kind`` refuses are parse errors."""
     reader = csv.reader(_io.StringIO(text))
     try:
         records = list(reader)
@@ -362,48 +374,60 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, buil
         raise ParseError(source, first_line, f"missing {what} header")
     if tuple(records[0]) != columns:
         raise ParseError(source, first_line, f"unexpected {what} header {records[0]!r}")
+    readers = [_CSV_READERS[type_] for _, _, type_, *_ in table]
+    display = len(columns) - len(table)
     out = []
     for line_no, record in enumerate(records[1:], start=first_line + 1):
         if not record:
             continue
         if len(record) != len(columns):
             raise ParseError(source, line_no, f"expected {len(columns)} fields")
+        if display and record[0] != str(len(out) + 1):
+            raise ParseError(source, line_no, f"expected row {len(out) + 1}, got {record[0]!r}")
+        values = (read(t) if t else None for read, t in zip(readers, record[display:]))
         try:
-            out.append(build(record))
+            out.append(kind(*values))
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
-    return out
+    return tuple(out)
 
 
-# GridCell checks every grid value (_GRID_FIELDS in margfit.simulation). A
-# CSV field is read by the grammar of its column's type; an empty one is None.
-GRID_COLUMNS = tuple(column for column, *_ in _GRID_FIELDS)
-_grid_values = attrgetter(*(attr for _, attr, *_ in _GRID_FIELDS))
-_CSV_READERS = {int: _integer_text, float: _float, str: str}
-
-
-def _grid_csv_cell(record: list[str]) -> GridCell:
-    kinds = (kind for _, _, kind, _ in _GRID_FIELDS)
-    return GridCell(*(_CSV_READERS[kind](t) if t else None for kind, t in zip(kinds, record)))
-
-
-def render_grid_csv(grid: ExperimentGrid) -> str:
-    """One CSV record per cell; ``str`` of a GridCell value is its round-trip text."""
+def _csv_text(rows) -> str:
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GRID_COLUMNS)
-    for cell in grid.cells:
-        writer.writerow(["" if value is None else str(value) for value in _grid_values(cell)])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+def _csv_fields(records, table):
+    """The CSV fields of each of ``records``: its ``table`` values in order."""
+    values = attrgetter(*(attr for _, attr, *_ in table))
+    return (["" if v is None else str(v) for v in values(record)] for record in records)
+
+
+def _json_record(record, table) -> dict:
+    return {key: getattr(record, attr) for key, attr, *_ in table}
+
+
+def _json_records(data: dict, name: str, what: str, kind, table) -> tuple:
+    """The ``kind`` of each entry of the JSON array ``data[name]``, an object of ``table`` keys."""
+    keys = [key for key, *_ in table]
+    entries = (_json_object(entry, what, keys) for entry in _json_array(data[name], name))
+    return tuple(kind(*(entry[key] for key in keys)) for entry in entries)
+
+
+GRID_COLUMNS = tuple(column for column, *_ in _GRID_FIELDS)
+
+
+def render_grid_csv(grid: ExperimentGrid) -> str:
+    return _csv_text([GRID_COLUMNS, *_csv_fields(grid.cells, _GRID_FIELDS)])
+
+
 def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
-    cells = _csv_table(text, source, 1, "grid", GRID_COLUMNS, _grid_csv_cell)
-    return ExperimentGrid(cells=tuple(cells))
+    return ExperimentGrid(_csv_table(text, source, 1, "grid", GRID_COLUMNS, GridCell, _GRID_FIELDS))
 
 
 def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig) -> dict:
-    cells = [dict(zip(GRID_COLUMNS, _grid_values(cell))) for cell in grid.cells]
+    cells = [_json_record(cell, _GRID_FIELDS) for cell in grid.cells]
     return {"config": config.to_dict(), "cells": cells}
 
 
@@ -413,9 +437,7 @@ def grid_from_json_dict(data: dict) -> ExperimentGrid:
     data = _json_object(data, "grid", ("cells",), ("config",))
     if "config" in data:
         ExperimentConfig.from_dict(data["config"])
-    cells = _json_array(data["cells"], "cells")
-    entries = (_json_object(e, "grid cell", GRID_COLUMNS) for e in cells)
-    return ExperimentGrid(cells=tuple(GridCell(*(e[c] for c in GRID_COLUMNS)) for e in entries))
+    return ExperimentGrid(_json_records(data, "cells", "grid cell", GridCell, _GRID_FIELDS))
 
 
 CASE_STUDY_COLUMNS = (
@@ -427,8 +449,6 @@ CASE_STUDY_COLUMNS = (
     "ptilde_raw",
     "rel_diff_raw",
 )
-# The JSON keys of a case-study row, in order.
-_CASE_STUDY_FIELDS = tuple(f.name for f in fields(CaseStudyRow))
 
 
 def _pct(x: float) -> str:
@@ -436,31 +456,13 @@ def _pct(x: float) -> str:
 
 
 def render_case_study_csv(result: CaseStudyResult) -> str:
-    buf = _io.StringIO()
     mask = ",".join(str(j) for j in sorted(result.zero_column_mask))
-    buf.write(f"#zero_columns={mask}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CASE_STUDY_COLUMNS)
-    for i, row in enumerate(result.rows, start=1):
-        rel = row.relative_difference_pct
-        writer.writerow(
-            [
-                str(i),
-                _pct(100.0 * row.phat),
-                _pct(100.0 * row.ptilde),
-                "" if rel is None else _pct(rel),
-                _fmt(row.phat),
-                _fmt(row.ptilde),
-                "" if rel is None else _fmt(rel),
-            ]
-        )
-    return buf.getvalue()
-
-
-def _case_study_row(record: list[str]) -> CaseStudyRow:
-    """The row of the raw (last three) columns of a case-study CSV record."""
-    phat, ptilde, rel = record[4:]
-    return CaseStudyRow(_float(phat), _float(ptilde), _float(rel) if rel else None)
+    rows = [CASE_STUDY_COLUMNS]
+    fields = _csv_fields(result.rows, _CASE_STUDY_FIELDS)
+    for i, (row, raw) in enumerate(zip(result.rows, fields), start=1):
+        pcts = (100.0 * row.phat, 100.0 * row.ptilde, row.relative_difference_pct)
+        rows.append([str(i), *("" if x is None else _pct(x) for x in pcts), *raw])
+    return f"#zero_columns={mask}\n" + _csv_text(rows)
 
 
 def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyResult:
@@ -472,28 +474,24 @@ def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyR
         mask = frozenset(_count(tok.strip()) for tok in mask_text.split(",") if tok.strip())
     except ValueError:
         raise ParseError(source, 1, f"not a list of column indices: {mask_text!r}") from None
-    rows = _csv_table(
-        "\n".join(lines[1:]), source, 2, "case-study", CASE_STUDY_COLUMNS, _case_study_row
-    )
-    return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)
+    body, columns = "\n".join(lines[1:]), CASE_STUDY_COLUMNS
+    rows = _csv_table(body, source, 2, "case-study", columns, CaseStudyRow, _CASE_STUDY_FIELDS)
+    return CaseStudyResult(rows=rows, zero_column_mask=mask)
 
 
 def case_study_to_json_dict(result: CaseStudyResult) -> dict:
     return {
         "zero_columns": sorted(result.zero_column_mask),
-        "rows": [{key: getattr(row, key) for key in _CASE_STUDY_FIELDS} for row in result.rows],
+        "rows": [_json_record(row, _CASE_STUDY_FIELDS) for row in result.rows],
     }
 
 
 def case_study_from_json_dict(data: dict) -> CaseStudyResult:
     data = _json_object(data, "case study", ("zero_columns", "rows"))
-    rows = []
-    for entry in _json_array(data["rows"], "rows"):
-        entry = _json_object(entry, "case-study row", _CASE_STUDY_FIELDS)
-        rows.append(CaseStudyRow(*(entry[key] for key in _CASE_STUDY_FIELDS)))
+    rows = _json_records(data, "rows", "case-study row", CaseStudyRow, _CASE_STUDY_FIELDS)
     zero_columns = _json_array(data["zero_columns"], "zero_columns")
     mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in zero_columns)
-    return CaseStudyResult(rows=tuple(rows), zero_column_mask=mask)
+    return CaseStudyResult(rows=rows, zero_column_mask=mask)
 
 
 # ---------------------------------------------------------------------------

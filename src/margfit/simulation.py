@@ -205,27 +205,40 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _not_nan(value, name: str) -> float:
-    """``value`` as a float by ``_real``, refusing NaN; an infinity is kept."""
-    value = _real(value, name)
-    if math.isnan(value):
-        raise ValueError(f"{name} must not be NaN")
-    return value
-
-
-# GridCell's fields in order: (CSV column and JSON key, attribute, type of a
-# present value, least value of an int). n and log_cpr are required; the
-# others are None when absent, an empty CSV field or a JSON null.
+# A result record's fields in dataclass order: (JSON key and a grid value's CSV
+# column, attribute, type of a present value, least value of an int, required).
+# A field not required is None when absent: an empty CSV field or a JSON null.
 _GRID_FIELDS = (
-    ("n", "n", int, 1),
-    ("log_cpr", "log_cpr", float, None),
-    ("reduction_pct", "reduction_pct", float, None),
-    ("asymptotic_pct", "asymptotic_pct", float, None),
-    ("bias_hat", "bias_hat", float, None),
-    ("bias_tilde", "bias_tilde", float, None),
-    ("zero_columns", "zero_column_events", int, 0),
-    ("error", "error", str, None),
+    ("n", "n", int, 1, True),
+    ("log_cpr", "log_cpr", float, None, True),
+    ("reduction_pct", "reduction_pct", float, None, False),
+    ("asymptotic_pct", "asymptotic_pct", float, None, False),
+    ("bias_hat", "bias_hat", float, None, False),
+    ("bias_tilde", "bias_tilde", float, None, False),
+    ("zero_columns", "zero_column_events", int, 0, False),
+    ("error", "error", str, None, False),
 )
+_CASE_STUDY_FIELDS = (
+    ("phat", "phat", float, None, True),
+    ("ptilde", "ptilde", float, None, True),
+    ("relative_difference_pct", "relative_difference_pct", float, None, False),
+)
+
+
+def _check_fields(record, table, prefix: str) -> None:
+    """Store each value of the frozen ``record`` as its ``table`` type, refusing
+    a NaN float and keeping an infinite one; messages name ``prefix`` + column."""
+    for column, attr, kind, least, required in table:
+        value = getattr(record, attr)
+        if value is not None or required:
+            name = prefix + column
+            if kind is int:
+                value = _integer(value, name, least)
+            elif kind is str:
+                value = _text(value, name)
+            elif math.isnan(value := _real(value, name)):
+                raise ValueError(f"{name} must not be NaN")
+            object.__setattr__(record, attr, value)
 
 
 @dataclass(frozen=True)
@@ -248,17 +261,7 @@ class GridCell:
     error: str | None = None
 
     def __post_init__(self):
-        for column, attr, kind, least in _GRID_FIELDS:
-            value = getattr(self, attr)
-            if value is not None or attr in ("n", "log_cpr"):
-                name = f"grid value {column}"
-                if kind is int:
-                    value = _integer(value, name, least)
-                elif kind is float:
-                    value = _not_nan(value, name)
-                else:
-                    value = _text(value, name)
-                object.__setattr__(self, attr, value)
+        _check_fields(self, _GRID_FIELDS, "grid value ")
 
 
 @dataclass(frozen=True)
@@ -587,17 +590,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
 
 @dataclass(frozen=True)
 class CaseStudyRow:
-    """Marginal estimates for one row, with and without the adjustment. A NaN
-    is refused as in ``GridCell``; only ``relative_difference_pct`` may be None."""
+    """Marginal estimates for one row, with and without the adjustment, checked
+    as ``GridCell`` is; only ``relative_difference_pct`` may be None."""
 
     phat: float
     ptilde: float
     relative_difference_pct: float | None
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if value is not None or name != "relative_difference_pct":
-                object.__setattr__(self, name, _not_nan(value, name))
+        _check_fields(self, _CASE_STUDY_FIELDS, "")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 import margfit.asymptotics as asymptotics
 import margfit.cli as cli
+import margfit.estimators as estimators
 import margfit.simulation as simulation
 from helpers import random_joint
 from margfit import asymptotic_reduction
@@ -1063,3 +1064,38 @@ class TestChi2BoundWithUnderflowedExpectedCell:
         code, out, err = run(capsys, "asymptotics", "--table", str(path))
         assert (code, err) == (0, "")
         assert parse_sections_text(out)["chi2_bound"].tolist() == [[2.0]]
+
+
+class TestAdjustMarginalLength:
+    """adjust checks the marginal's length once, before scaling, and names
+    both lengths in its one error line."""
+
+    @pytest.mark.parametrize(
+        "table, marginal, message",
+        [
+            ("#rows=2 cols=3\n30,10,5\n10,40,5\n", "0.4,0.6\n", "length 2 but the table has 3"),
+            ("#rows=2 cols=2\n30,10\n10,50\n", "5,3,2\n", "length 3 but the table has 2"),
+        ],
+    )
+    def test_wrong_length_is_one_error_line(self, capsys, tmp_path, table, marginal, message):
+        write_text(tmp_path / "counts.csv", table)
+        write_text(tmp_path / "marginal.csv", marginal)
+        code, out, err = run(
+            capsys,
+            "adjust",
+            "--counts",
+            str(tmp_path / "counts.csv"),
+            "--marginal",
+            str(tmp_path / "marginal.csv"),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: known marginal has {message} columns\n"
+
+    def test_column_step_is_not_called(self, capsys, counts_file, marginal_file, monkeypatch):
+        # The adjustment scales the columns itself, after its own length check.
+        def refuse(*args):
+            raise AssertionError("adjust must not check the marginal's length twice")
+
+        monkeypatch.setattr(estimators, "ipf_column_step", refuse)
+        code, out, err = run(capsys, "adjust", "--counts", counts_file, "--marginal", marginal_file)
+        assert (code, err) == (0, "")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ from margfit import (
     weighted_frequencies,
 )
 from margfit.asymptotics import effective_sample_factor
+from margfit.asymptotics import adjusted_marginal_covariance, marginal_covariance
 from margfit.io import load_destatis2014, load_gidas_table3
+from margfit.simulation import replicate_marginal_estimates
+from margfit.tables import build_2x2_from_marginals_cpr
 
 
 def marg(values, axis="column"):
@@ -245,6 +250,37 @@ class TestPostStratificationIsWeighting:
         assert (np.abs(adjusted - weighted) <= bound).all()
         # Kish's design effect n sum_t w_t^2 of these weights.
         assert round(counts.total * effective_sample_factor(weights), 3) == 1.079
+
+
+class TestPostStratifiedVarianceIsNotKish:
+    """The post-stratified estimate's variance is the adjusted covariance, not
+    Kish's fixed-weight prediction: its weights c_j / N_j are estimated from
+    the same sample, and that removes variance instead of adding it."""
+
+    def test_monte_carlo_matches_adjusted_covariance_and_not_kish(self):
+        n, replications = 1000, 20000
+        row = marg([0.5, 0.5], axis="row")
+        col = marg([0.5, 0.5])
+        table = build_2x2_from_marginals_cpr(row, col, math.exp(4.0))
+        adjusted = adjusted_marginal_covariance(table).entries[0, 0]
+        plain = marginal_covariance(table).entries[0, 0]
+        assert 1.0 - adjusted / plain > 0.5  # a large asymptotic reduction
+        reps = replicate_marginal_estimates(table, col, n, replications, 2501, rows=(0,))
+        assert not reps.excluded.any()
+        x = reps.ptilde_rows[:, 0]
+        variance = float(np.var(x, ddof=1))
+        fourth = float(np.mean((x - x.mean()) ** 4))
+        # n Var and the standard error of the sample variance, scaled by n.
+        n_var = n * variance
+        se = n * math.sqrt((fourth - variance * variance) / replications)
+        assert abs(n_var - adjusted) <= 4 * se, (n_var, adjusted, se)
+        # Kish's design effect n sum_j c_j^2 / N_j has expectation about 1 + (J - 1)/n.
+        kish = (1.0 + (table.n_cols - 1) / n) * plain
+        assert abs(kish - n_var) > 4 * se and kish > plain > n_var, (
+            f"Kish's fixed-weight design effect predicts n Var = {kish:.4f}, more "
+            f"than the plain {plain:.4f}, but the post-stratified estimate has "
+            f"{n_var:.4f} +- {se:.4f}: fixed-weight reasoning gets the sign wrong here"
+        )
 
 
 class TestAdjustedRowMarginal:

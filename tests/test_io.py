@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -42,6 +43,7 @@ from margfit.io import (
     render_sections,
     write_text,
 )
+import margfit.simulation as simulation
 from margfit.simulation import GridCell
 from margfit.tables import MarginalDistribution
 
@@ -651,3 +653,74 @@ class TestAsciiDigitsOnly:
         text = "#section=a rows=1 cols=3 kind=float\nnan,inf,-inf\n"
         values = parse_sections_text(text)["a"][0]
         assert math.isnan(values[0]) and values[1:].tolist() == [math.inf, -math.inf]
+
+
+def case_study_records(*rows: str) -> str:
+    """A case-study CSV whose records start with the ``row`` fields ``rows``."""
+    records = "".join(f"{row},50,50,0,0.5,0.5,0\n" for row in rows)
+    return "#zero_columns=\n" + ",".join(CASE_STUDY_COLUMNS) + "\n" + records
+
+
+class TestCaseStudyRowColumn:
+    """The ``row`` column of a case-study CSV is the record's 1-based
+    position, spelled as render_case_study_csv writes it; the percentage
+    columns are for display only and are not read."""
+
+    def test_records_in_sequence_read(self):
+        result = parse_case_study_csv_text(case_study_records("1", "2", "3"))
+        assert result.rows == (CaseStudyRow(0.5, 0.5, 0.0),) * 3
+
+    def test_blank_lines_do_not_count(self):
+        text = case_study_records("1", "2").replace("\n2,", "\n\n2,")
+        assert len(parse_case_study_csv_text(text).rows) == 2
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (("2",), 3),
+            (("0",), 3),
+            (("1", "1"), 4),
+            (("1", "3"), 4),
+            (("01",), 3),
+            (("+1",), 3),
+            ((" 1",), 3),
+            (("1.0",), 3),
+            (("",), 3),
+            (("x",), 3),
+        ],
+    )
+    def test_record_out_of_sequence_is_parse_error_on_its_line(self, rows, line):
+        with pytest.raises(ParseError, match="expected row") as info:
+            parse_case_study_csv_text(case_study_records(*rows), "c.csv")
+        assert (info.value.source, info.value.line) == ("c.csv", line)
+
+    def test_rendered_rows_are_numbered_from_one(self):
+        result = run_case_study(load_gidas_table3(), load_destatis2014())
+        records = render_case_study_csv(result).splitlines()[2:]
+        assert [r.split(",")[0] for r in records] == [str(i) for i in range(1, 9)]
+
+
+class TestRecordFieldTables:
+    """Each record type has one field table in margfit.simulation, and the
+    CSV columns and JSON keys of both formats come from it."""
+
+    @pytest.mark.parametrize(
+        "kind, table", [(GridCell, "_GRID_FIELDS"), (CaseStudyRow, "_CASE_STUDY_FIELDS")]
+    )
+    def test_table_attributes_are_the_dataclass_fields_in_order(self, kind, table):
+        attributes = [attr for _, attr, *_ in getattr(simulation, table)]
+        assert attributes == [f.name for f in dataclasses.fields(kind)]
+
+    def test_grid_columns_and_json_keys_come_from_the_table(self):
+        cfg, grid = tiny_grid()
+        columns = tuple(column for column, *_ in simulation._GRID_FIELDS)
+        assert GRID_COLUMNS == columns
+        assert tuple(render_grid_csv(grid).splitlines()[0].split(",")) == columns
+        for cell in grid_to_json_dict(grid, cfg)["cells"]:
+            assert tuple(cell) == columns
+
+    def test_case_study_json_keys_come_from_the_table(self):
+        result = run_case_study(load_gidas_table3(), load_destatis2014())
+        keys = tuple(key for key, *_ in simulation._CASE_STUDY_FIELDS)
+        for row in case_study_to_json_dict(result)["rows"]:
+            assert tuple(row) == keys
