@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -179,6 +178,8 @@ def _render(args, output) -> str:
         output = (output, render_sections, _sections_to_json)
     result, to_csv, to_json = output
     if args.format == "json":
+        import json
+
         return json.dumps(to_json(result), indent=2) + "\n"
     return to_csv(result)
 

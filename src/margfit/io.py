@@ -23,6 +23,8 @@ emitted file re-parses to the exact in-memory value. Formats:
 A grid cell's or case-study row's values, CSV columns and JSON keys come
 from its record's one field table (``_GRID_FIELDS``, ``_CASE_STUDY_FIELDS``
 in :mod:`margfit.simulation`), which one CSV and one JSON codec here read.
+The codecs import :mod:`csv` and :mod:`json` on first use, so importing this
+module loads neither (README, Start-up).
 
 Numbers follow one grammar, in every file and in the CLI's number flags: an
 integer is ASCII digits after an optional sign (``_INT_RE``, the whole token),
@@ -33,10 +35,8 @@ flag value is checked by the code it configures.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io as _io
-import json
 import re
 from dataclasses import dataclass
 from importlib.resources import files
@@ -354,9 +354,20 @@ def parse_sections_text(text: str, source: str = "<string>") -> dict[str, np.nda
 # CSV tables: experiment grid and case study
 
 
-# A CSV field is read by the grammar of its type, and an empty one is None;
-# ``str`` of a value is its round-trip text.
+# A CSV field is read by the grammar of its type; ``str`` of a value is its
+# round-trip text.
 _CSV_READERS = {int: _integer_text, float: _float, str: str}
+
+
+def _csv_value(token: str, column: str, type_, required: bool):
+    """The ``type_`` value of the CSV field ``token`` in ``column``. An empty
+    field is None, or, when the field is required, a ValueError naming the
+    column: the record type would name only the None."""
+    if token:
+        return _CSV_READERS[type_](token)
+    if required:
+        raise ValueError(f"empty field {column}")
+    return None
 
 
 def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind, table):
@@ -365,6 +376,8 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind
     ``table`` fields; the first of any display columns before them is its
     1-based position. Text the csv module cannot split, a record of the wrong
     length or out of sequence and a value ``kind`` refuses are parse errors."""
+    import csv
+
     reader = csv.reader(_io.StringIO(text))
     try:
         records = list(reader)
@@ -374,8 +387,9 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind
         raise ParseError(source, first_line, f"missing {what} header")
     if tuple(records[0]) != columns:
         raise ParseError(source, first_line, f"unexpected {what} header {records[0]!r}")
-    readers = [_CSV_READERS[type_] for _, _, type_, *_ in table]
     display = len(columns) - len(table)
+    # (CSV column, type, required) of each field
+    fields = [(col, type_, req) for col, (_, _, type_, _, req) in zip(columns[display:], table)]
     out = []
     for line_no, record in enumerate(records[1:], start=first_line + 1):
         if not record:
@@ -384,7 +398,7 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind
             raise ParseError(source, line_no, f"expected {len(columns)} fields")
         if display and record[0] != str(len(out) + 1):
             raise ParseError(source, line_no, f"expected row {len(out) + 1}, got {record[0]!r}")
-        values = (read(t) if t else None for read, t in zip(readers, record[display:]))
+        values = (_csv_value(t, *field) for field, t in zip(fields, record[display:]))
         try:
             out.append(kind(*values))
         except ValueError as exc:
@@ -393,6 +407,8 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind
 
 
 def _csv_text(rows) -> str:
+    import csv
+
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -499,6 +515,8 @@ def case_study_from_json_dict(data: dict) -> CaseStudyResult:
 
 def _parse_experiment_config(text: str, source: str) -> ExperimentConfig:
     """The experiment config of the JSON ``text``; any fault is a parse error."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

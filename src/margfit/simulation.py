@@ -75,9 +75,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from decimal import Context, Decimal
 from typing import Sequence
 
 import numpy as np
@@ -540,12 +539,25 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def __getattr__(name: str):
+    """The module attribute ``ThreadPoolExecutor``, imported on first access
+    and then kept as a global: only a pool needs :mod:`concurrent.futures` and
+    the :mod:`logging` it imports, so a one-worker run never loads them."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    globals()[name] = ThreadPoolExecutor
+    return ThreadPoolExecutor
+
+
 def _map_threads(task, count: int, workers: int) -> list:
     """``[task(k) for k in range(count)]`` on ``workers`` threads; one worker
-    runs the tasks in order on the calling thread, with no pool."""
+    runs the tasks in order on the calling thread, with no pool. A pool is
+    the class that the module attribute ``ThreadPoolExecutor`` holds."""
     if workers == 1:
         return [task(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, range(count)))
 
 
@@ -561,6 +573,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     means one thread per available core, at most one per grid cell; one
     worker runs the cells in order on the calling thread.
     """
+    from decimal import Context, Decimal  # imported on use: only a grid cell needs it
+
     points = [(n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid]
     if workers is None:
         workers = min(_available_cores(), len(points))
@@ -603,6 +617,10 @@ class CaseStudyRow:
 
 @dataclass(frozen=True)
 class CaseStudyResult:
+    """The :func:`run_case_study` estimates, one ``CaseStudyRow`` per row of
+    the count table in order, and the 0-based indices of the columns with no
+    observations, which the adjustment could not rescale."""
+
     rows: tuple[CaseStudyRow, ...]
     zero_column_mask: frozenset
 

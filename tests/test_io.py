@@ -724,3 +724,33 @@ class TestRecordFieldTables:
         keys = tuple(key for key, *_ in simulation._CASE_STUDY_FIELDS)
         for row in case_study_to_json_dict(result)["rows"]:
             assert tuple(row) == keys
+
+
+class TestEmptyCsvFields:
+    """An empty CSV field of a required record value is a parse error on its
+    line that names the CSV column; an empty optional field reads as None,
+    and a JSON null keeps the record type's message."""
+
+    @pytest.mark.parametrize("column", ["n", "log_cpr"])
+    def test_required_grid_field(self, column):
+        with pytest.raises(ParseError, match=f"^g.csv:2: empty field {column}$"):
+            parse_grid_csv_text(grid_text_with(column, ""), "g.csv")
+
+    @pytest.mark.parametrize(
+        "raw, column", [(",0.5,0", "phat_raw"), ("0.5,,0", "ptilde_raw"), (",,", "phat_raw")]
+    )
+    def test_required_case_study_field(self, raw, column):
+        with pytest.raises(ParseError, match=f"^c.csv:3: empty field {column}$"):
+            parse_case_study_csv_text(case_study_text(raw), "c.csv")
+
+    def test_optional_fields_read_as_none(self):
+        (cell,) = parse_grid_csv_text(grid_text(zero_columns="")).cells
+        assert cell == GridCell(20, 0.5)
+        (row,) = parse_case_study_csv_text(case_study_text("0.5,0.25,")).rows
+        assert row == CaseStudyRow(0.5, 0.25, None)
+
+    def test_json_null_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^grid value n must be an integer, got None$"):
+            grid_from_json_dict(grid_json(n=None))
+        with pytest.raises(ValueError, match="^phat must be a number, got None$"):
+            case_study_from_json_dict(case_study_json(phat=None))
