@@ -4,11 +4,10 @@ Two I x I matrices drive everything here, both on the per-sqrt(n) scale:
 
 * ``multinomial_covariance``: diag(p) - p p^T, the limit covariance of the
   plain relative frequencies.
-* ``adjusted_marginal_covariance``: the limit covariance of the row-marginal
-  estimates after the column adjustment, entry (k, l) equal to
-  p_row[k]*1{k==l} - sum_j cells[k,j]*cells[l,j]/col[j].
+* ``variance_gap``: sum_j c_j d_j d_j^T with c the column marginal and d_j =
+  p(.|j) - p_row; the plain one minus it is ``adjusted_marginal_covariance``.
 
-The second is also the expected covariance of the unadjusted estimates
+The adjusted one is also the expected covariance of the unadjusted estimates
 conditional on the column variable; ``expected_conditional_covariance``
 recomputes it by enumerating outcomes and serves as an independent oracle.
 """
@@ -29,6 +28,7 @@ __all__ = [
     "marginal_covariance",
     "adjusted_marginal_covariance",
     "expected_conditional_covariance",
+    "variance_gap",
     "variance_gap_quadratic",
     "variance_reduction",
     "chi2_reduction_bound",
@@ -72,10 +72,13 @@ class CovarianceMatrix:
     __eq__ = _fields_equal
 
 
+def _multinomial(probs: np.ndarray) -> np.ndarray:
+    return np.diag(probs) - np.outer(probs, probs)
+
+
 def multinomial_covariance(p) -> CovarianceMatrix:
     """diag(p) - p p^T: limit covariance of plain relative frequencies."""
-    probs = _coerce(p, MarginalDistribution, "row").probs
-    return CovarianceMatrix(np.diag(probs) - np.outer(probs, probs))
+    return CovarianceMatrix(_multinomial(_coerce(p, MarginalDistribution, "row").probs))
 
 
 def marginal_covariance(p: JointDistribution) -> CovarianceMatrix:
@@ -90,14 +93,25 @@ def _positive_column_marginals(p: JointDistribution) -> np.ndarray:
     return col
 
 
-def adjusted_marginal_covariance(p: JointDistribution) -> CovarianceMatrix:
-    """Limit covariance of the column-adjusted row-marginal estimates.
-
-    Entry (k, l) is p_row[k]*1{k==l} - sum_j p[k,j] p[l,j] / p_col[j].
-    """
+def _centred_columns(p: JointDistribution) -> np.ndarray:
+    """e = d sqrt(c): column j is p(.|j) - p_row times sqrt(p_col[j])."""
     col = _positive_column_marginals(p)
-    cross = [(w * p.cells).sum(axis=1) for w in p.cells / col]  # row by row: O(I*J) memory
-    return CovarianceMatrix(np.diag(p.cells.sum(axis=1)) - np.array(cross))
+    return (p.cells / col - p.cells.sum(axis=1)[:, None]) * np.sqrt(col)
+
+
+def variance_gap(p: JointDistribution) -> np.ndarray:
+    """sum_j c_j d_j d_j^T, the plain minus the adjusted limit covariance.
+    Entries (r, s) and (s, r) add the same products e[r,j] e[s,j] of
+    :func:`_centred_columns` in the same order, so the matrix is symmetric in
+    bits, and its diagonal, a sum of squares, is never negative."""
+    e = _centred_columns(p)
+    return np.array([(e * e_r).sum(axis=1) for e_r in e])  # row by row: O(I*J) memory
+
+
+def adjusted_marginal_covariance(p: JointDistribution) -> CovarianceMatrix:
+    """Limit covariance of the column-adjusted row-marginal estimates:
+    diag(p_row) - p_row p_row^T - :func:`variance_gap`, symmetric in bits."""
+    return CovarianceMatrix(_multinomial(p.cells.sum(axis=1)) - variance_gap(p))
 
 
 def expected_conditional_covariance(p: JointDistribution) -> CovarianceMatrix:
@@ -109,32 +123,24 @@ def expected_conditional_covariance(p: JointDistribution) -> CovarianceMatrix:
     suffices because the sample is i.i.d.
     """
     col = _positive_column_marginals(p)
-    dim = p.n_rows
-    total = np.zeros((dim, dim))
-    for j in range(p.n_cols):
-        given_j = p.cells[:, j] / col[j]
-        total += col[j] * (np.diag(given_j) - np.outer(given_j, given_j))
-    return CovarianceMatrix(total)
+    per_column = (col[j] * _multinomial(p.cells[:, j] / col[j]) for j in range(p.n_cols))
+    return CovarianceMatrix(sum(per_column))
 
 
-def variance_gap_quadratic(
-    p: JointDistribution, c: Sequence[float]
-) -> tuple[float, float]:
+def variance_gap_quadratic(p: JointDistribution, c: Sequence[float]) -> tuple[float, float]:
     """The variance removed by the adjustment along direction c, twice over.
 
-    Returns ``(gap, direct)`` where ``gap`` is the quadratic form of c in the
-    difference of the two covariance matrices and ``direct`` is the variance
-    of the conditional mean of sum_i c[i]*1{row == i} given the column
-    variable, computed by enumeration. The two agree to float precision and
-    are nonnegative; they vanish exactly when the table is an outer product
-    or c is constant.
+    Returns ``(gap, direct)``: ``gap`` is the quadratic form of c in
+    :func:`variance_gap`, as sum_j (sum_r c[r] e[r,j])^2, and ``direct`` the
+    variance of the conditional mean of sum_i c[i]*1{row == i} given the
+    column variable, by enumeration. The two agree to float precision and
+    are never negative; they lie within rounding of 0 when the table is an
+    outer product or c is constant.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1 or c.shape[0] != p.n_rows:
         raise ValueError(f"c must have length {p.n_rows}, got shape {c.shape}")
-    plain = marginal_covariance(p).entries
-    adjusted = adjusted_marginal_covariance(p).entries
-    gap = float((c[:, None] * (plain - adjusted) * c).sum())
+    gap = float(((c[:, None] * _centred_columns(p)).sum(axis=0) ** 2).sum())
 
     col = _positive_column_marginals(p)
     cond_mean = (c[:, None] * p.cells).sum(axis=0) / col
@@ -143,25 +149,25 @@ def variance_gap_quadratic(
     return gap, direct
 
 
-def variance_reduction(plain, adjusted) -> np.ndarray:
-    """(plain - adjusted) / plain, elementwise: the share of each plain
-    variance that the adjustment removes, given matching diagonal entries of
-    :func:`marginal_covariance` and :func:`adjusted_marginal_covariance`.
+def variance_reduction(plain, gap) -> np.ndarray:
+    """gap / plain, elementwise: the share of each plain variance that the
+    adjustment removes, given matching diagonal entries of
+    :func:`marginal_covariance` and :func:`variance_gap`.
 
     Raises when a plain variance is zero, i.e. its row has probability 0 or 1.
     """
     plain = np.asarray(plain)
     if (plain == 0.0).any():
         raise ValueError("row marginal is degenerate; variance is zero")
-    return (plain - adjusted) / plain
+    return gap / plain
 
 
 def chi2_reduction_bound(p: JointDistribution) -> float:
     """Population chi-square dependence sum_ij (p_ij - p_i p_j)^2 / (p_i p_j).
 
-    Lower-bounds the total relative variance reduction
-    sum_i (plain_ii - adjusted_ii) / plain_ii across rows; zero exactly for
-    outer-product tables.
+    Lower-bounds the total relative variance reduction sum_i gap_ii / plain_ii
+    across rows (gap from :func:`variance_gap`); zero exactly for outer-product
+    tables.
     """
     row = p.cells.sum(axis=1)
     col = p.cells.sum(axis=0)

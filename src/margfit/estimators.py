@@ -115,9 +115,7 @@ def weighted_frequencies(
     weights = _coerce(weights, WeightVector)
     xs, n_categories = _check_categories(xs, n_categories)
     if xs.shape[0] != len(weights):
-        raise ValueError(
-            f"got {xs.shape[0]} observations but {len(weights)} weights"
-        )
+        raise ValueError(f"got {xs.shape[0]} observations but {len(weights)} weights")
     return np.bincount(xs - 1, weights=weights.weights, minlength=n_categories)
 
 

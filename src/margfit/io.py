@@ -312,11 +312,7 @@ _SECTION_KINDS = {"int": (_int, np.int64), "float": (_float, np.float64)}
 def render_sections(sections: dict[str, np.ndarray]) -> str:
     out = []
     for name, values in sections.items():
-        arr = np.asarray(values)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        arr = np.atleast_2d(values)  # a scalar is 1x1, a vector one row
         integral = np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_
         kind = "int" if integral else "float"
         out.append(f"#section={name} rows={arr.shape[0]} cols={arr.shape[1]} kind={kind}")

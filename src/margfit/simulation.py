@@ -81,7 +81,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import adjusted_marginal_covariance, marginal_covariance, variance_reduction
+from .asymptotics import variance_gap, variance_reduction
 from .estimators import WeightVector, adjust_to_known_marginal, adjusted_row_marginal
 from .tables import (
     CountTable,
@@ -392,7 +392,6 @@ def replicate_marginal_estimates(
     return MarginalReplicates(phat_rows=phat.T, ptilde_rows=ptilde.T, excluded=excluded)
 
 
-
 def replicate_weighted_frequencies(
     probs: Sequence[float] | MarginalDistribution,
     weights: Sequence[float] | WeightVector,
@@ -449,15 +448,15 @@ def replicate_weighted_frequencies(
 def asymptotic_reduction(p: JointDistribution, row: int = 0) -> float:
     """Large-sample fraction of row-marginal variance removed by adjustment.
 
-    (plain_rr - adjusted_rr) / plain_rr for the requested row (0-based);
-    zero for outer-product tables, one when the row variable is a function
-    of the column variable.
+    gap_rr / plain_rr for the requested row (0-based), with gap from
+    :func:`~margfit.asymptotics.variance_gap`: never negative, zero for outer
+    products up to rounding, one when the row is a function of the column.
     """
-    if not 0 <= row < p.n_rows:
+    row = _integer(row, "row", 0)
+    if row >= p.n_rows:
         raise ValueError(f"row index {row} out of range")
-    plain = marginal_covariance(p).entries[row, row]
-    adjusted = adjusted_marginal_covariance(p).entries[row, row]
-    return float(variance_reduction(plain, adjusted))
+    prob = p.cells.sum(axis=1)[row]
+    return float(variance_reduction(prob - prob * prob, variance_gap(p)[row, row]))
 
 
 def exact_reduction(p: JointDistribution, n: int) -> float:

@@ -64,3 +64,11 @@ def dependent_table(
     for j in range(n_cols):
         concentrated[j % n_rows, j] = b[j]
     return JointDistribution((1.0 - mix) * np.outer(a, b) + mix * concentrated)
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), with u the unit roundoff of a
+    double: a value that went through k roundings lies within this factor of
+    its exact value's magnitude."""
+    u = np.finfo(np.float64).eps / 2
+    return k * u / (1 - k * u)

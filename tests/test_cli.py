@@ -313,9 +313,9 @@ class TestSimulateOutputPinned:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("I", "5adad16630beec99d98a4c34d90f04cc39f0eaa3674137e54cd109e5a4f741b5"),
-            ("II", "36f4a55303aa9e41e7a8bef0ddf07c3bd524f621370640add06139bf5cf98adb"),
-            ("III", "3b39469f5993dc8679b50f9ab417b97373d3b38b02d2213d5aa93828e067d143"),
+            ("I", "71511b78eb4bc9b22b5aa80ae3ff34db28c1b371b90040bfd41812e3eb5895ab"),
+            ("II", "9d97dea4a8c836736fb4ea1bc9bd52df81ac0bca8feae0654e1ca24d3ffba6f9"),
+            ("III", "3b1d08529aa3de5055f87d46cadf135a3f624742bf966cf09f038f8b43ccbba5"),
         ],
         ids=["I", "II", "III"],
     )
@@ -465,15 +465,15 @@ _PINNED_DIGESTS = [
     ("estimate", "json", "aee05d5634e7dd33a9b83810bcfcbbd4470173368b10adefba7941fa72397a02"),
     ("adjust", "csv", "161b3026fb361a65a33a80f45e28e3e3a4cb537e25b74ed9fe478c8c9b866364"),
     ("adjust", "json", "636aa95839f9789fe2729495757619ed9f812352b004bfaa5f0aabf0d66e01c6"),
-    ("asymptotics", "csv", "f884ba410acad28e8e0e5bd19f5eb9e7790bd869b368eb15f50f1691239cefa8"),
-    ("asymptotics", "json", "597ec751fedd2cbf5d1310de95fb2d81be2b278a1f6c17ea7289c080edcc8367"),
+    ("asymptotics", "csv", "8f1dde549e47653c9023021e14ad5b714be4a3b08d5bb5e2c108992e2bb3e549"),
+    ("asymptotics", "json", "c7ac0b4668e136702eedfc6e1a091ba0abab050433a8cb2b67e9fe78b8e6c8ba"),
     ("ipf", "csv", "2143049a2d5b559b77e21b0195a570a2cc402ea02069ee4a05f0285d05bb26ea"),
     ("ipf", "json", "fc9162ab71549fc3d3749f0fb59e06c723995e6b093c31ffa9da7e738280fc81"),
     ("ipf-not-converged", "csv", "4befa8e033534d3e2a56e55c535eb0fc0ea7dfaeab9889ec3e2454c22b100808"),
     ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
     ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
     ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
-    ("simulate", "json", "084ba2248eadf092115ff575830d64b79ed82cc8dfddb7ba7a04d51bd9201d4d"),
+    ("simulate", "json", "9024becddbc6152c415775462e3601c193369acbe957415a3300bc4065e12059"),
 ]
 
 
