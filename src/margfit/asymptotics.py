@@ -14,13 +14,12 @@ recomputes it by enumerating outcomes and serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .estimators import WeightVector
-from .tables import JointDistribution, MarginalDistribution, _array, _coerce, _fields_equal, _frozen
+from .tables import JointDistribution, MarginalDistribution, _array, _coerce, _frozen, _value_type
 
 __all__ = [
     "CovarianceMatrix",
@@ -40,7 +39,7 @@ EIGENVALUE_TOL = -1e-10  # exact-zero eigenvalues land slightly negative in floa
 ROW_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class CovarianceMatrix:
     """Symmetric positive semi-definite matrix whose rows sum to zero.
 
@@ -68,8 +67,6 @@ class CovarianceMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    __eq__ = _fields_equal
 
 
 def _multinomial(probs: np.ndarray) -> np.ndarray:

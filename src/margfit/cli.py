@@ -133,8 +133,8 @@ def _cmd_asymptotics(args) -> dict:
 
 def _load_config(path_str: str):
     path = Path(path_str)
-    if not path.exists() and path.name in ("caseI.json", "caseII.json", "caseIII.json"):
-        return load_study_config(path.name[4:-5])
+    if path_str in ("caseI.json", "caseII.json", "caseIII.json") and not path.exists():
+        return load_study_config(path_str[4:-5])
     return read_experiment_config(path)
 
 

@@ -21,13 +21,14 @@ from .tables import (
     MarginalDistribution,
     _array,
     _coerce,
+    _count_total,
     _counts,
-    _fields_equal,
     _frozen,
     _int64,
     _integer,
     _probabilities,
     _real,
+    _value_type,
 )
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class WeightVector:
     """Nonnegative observation weights summing to one."""
 
@@ -62,10 +63,8 @@ class WeightVector:
         n = _integer(n, "n", 1)
         return cls(np.full(n, 1.0 / n))
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type
 class CloneCounts:
     """Per-observation clone multiplicities (>= 1 each)."""
 
@@ -77,7 +76,7 @@ class CloneCounts:
             self.counts, 1, "clone counts must be a non-empty vector", "clone counts", 1
         )
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(counts.sum()))
+        object.__setattr__(self, "total", _count_total(counts, "clone count"))
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -86,8 +85,6 @@ class CloneCounts:
         """Cloning observation t exactly counts[t] times is weighting it by
         counts[t]/total."""
         return WeightVector(self.counts / self.total)
-
-    __eq__ = _fields_equal
 
 
 def _check_categories(xs, n_categories: int | None) -> tuple[np.ndarray, int]:
@@ -133,7 +130,7 @@ def cloned_frequencies(
     return weighted_frequencies(xs, clones.to_weights(), n_categories)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class AdjustedTable:
     """A joint table reweighted column-wise to a known column marginal.
 
@@ -171,8 +168,6 @@ class AdjustedTable:
     @property
     def dims(self) -> tuple[int, int]:
         return self.cells.shape
-
-    __eq__ = _fields_equal
 
 
 def _scale_columns(cells: np.ndarray, col_sums: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -88,6 +88,7 @@ from .tables import (
     JointDistribution,
     MarginalDistribution,
     _coerce,
+    _frozen,
     _integer,
     _json_array,
     _json_object,
@@ -95,6 +96,7 @@ from .tables import (
     _seed,
     _stream,
     _text,
+    _value_type,
     build_2x2_from_marginals_cpr,
     empirical_joint,
 )
@@ -276,7 +278,7 @@ class ExperimentGrid:
         raise KeyError(f"no grid cell at n={n}, log_cpr={log_cpr}")
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class MarginalReplicates:
     """Per-replication row-marginal estimates from repeated sampling.
 
@@ -389,7 +391,7 @@ def replicate_marginal_estimates(
             excluded[start : start + size] = ex
 
     _run_blocks(seed, stream_key, replications, CHUNK_REPLICATIONS, kernel)
-    return MarginalReplicates(phat_rows=phat.T, ptilde_rows=ptilde.T, excluded=excluded)
+    return MarginalReplicates(_frozen(phat.T), _frozen(ptilde.T), _frozen(excluded))
 
 
 def replicate_weighted_frequencies(

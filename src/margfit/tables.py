@@ -9,8 +9,10 @@ array through one checked path: ``_array`` (a non-empty copy with the right
 number of dimensions), then ``_probabilities`` (finite, >= 0, summing to 1
 within ``PROB_TOL``) or ``_counts`` (integral, each at least a minimum), and
 ``_frozen`` makes the result read-only. Counts and category labels become
-int64 through ``_int64``, which checks them before the cast. The types
-compare field by field through ``_fields_equal`` and are unhashable.
+int64 through ``_int64``, which checks them before the cast. These types
+and ``simulation.MarginalReplicates`` are declared with ``_value_type``, the
+one home of the value contract: frozen, compared field by field through
+``_fields_equal``, and unhashable.
 
 Every JSON reader checks the shape of what it reads through
 ``_json_object`` (a dict with its required keys and no unknown one) and
@@ -200,7 +202,23 @@ def _fields_equal(self, other):
     )
 
 
-@dataclass(frozen=True, eq=False)
+def _value_type(cls):
+    """``cls`` as a frozen dataclass compared by ``_fields_equal`` and unhashable."""
+    cls.__eq__ = _fields_equal
+    cls.__hash__ = None
+    return dataclass(frozen=True, eq=False)(cls)
+
+
+def _count_total(counts: np.ndarray, name: str) -> int:
+    """The sum of ``counts`` as a Python int, refused beyond the int64 range:
+    an int64 sum would wrap silently."""
+    total = sum(counts.ravel().tolist())
+    if total > INT64_MAX:
+        raise ValueError(f"{name} total {total} exceeds the int64 range")
+    return total
+
+
+@_value_type
 class JointDistribution:
     """An I x J table of cell probabilities."""
 
@@ -224,10 +242,8 @@ class JointDistribution:
     def dims(self) -> tuple[int, int]:
         return self.cells.shape
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type
 class MarginalDistribution:
     """A probability vector over one axis of a joint table."""
 
@@ -251,10 +267,8 @@ class MarginalDistribution:
         if (self.probs == 0.0).any():
             raise ValueError(f"{context} must have strictly positive entries")
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type
 class CountTable:
     """An I x J table of observation counts with its grand total."""
 
@@ -263,21 +277,15 @@ class CountTable:
 
     def __post_init__(self):
         counts = _counts(self.counts, 2, "counts must form a non-empty 2-d table", "counts", 0)
-        # Summed as Python ints: an int64 sum would wrap silently.
-        total = sum(counts.ravel().tolist())
-        if total > INT64_MAX:
-            raise ValueError(f"count total {total} exceeds the int64 range")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", _count_total(counts, "count"))
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.counts.shape
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type
 class SampleBatch:
     """Raw paired observations (x_t, y_t) with 1-based category labels."""
 
@@ -307,8 +315,6 @@ class SampleBatch:
         flat = (self.pairs[:, 0] - 1) * n_cols + (self.pairs[:, 1] - 1)
         counts = np.bincount(flat, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
         return CountTable(counts)
-
-    __eq__ = _fields_equal
 
 
 def row_marginal(p: JointDistribution) -> MarginalDistribution:
@@ -341,7 +347,7 @@ def sample(p: JointDistribution, n: int, seed: int) -> CountTable:
     return CountTable(counts.reshape(p.dims))
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class CrossProductRatios:
     """All cross-product ratios p[i,j]*p[r,s] / (p[r,j]*p[i,s]) with i<r, j<s.
 
@@ -364,8 +370,6 @@ class CrossProductRatios:
         if self.ratios.shape != (2, 2, 2, 2):
             raise ValueError("scalar cross-product ratio is defined for 2x2 tables only")
         return float(self.ratios[0, 1, 0, 1])
-
-    __eq__ = _fields_equal
 
 
 def cross_product_ratios(p: JointDistribution) -> CrossProductRatios:

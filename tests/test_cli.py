@@ -196,6 +196,13 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", "nothere.json")
         assert code == 2
 
+    def test_bundled_name_in_a_missing_directory_is_parse_error(self, capsys, tmp_path):
+        # Only a bare bundled name falls back; a path with a directory is read as given.
+        missing = tmp_path / "no" / "such" / "dir" / "caseII.json"
+        code, out, err = run(capsys, "simulate", "--config", str(missing), "--replications", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: cannot read ")
+
 
 class TestSimulateWorkerFailure:
     def test_memory_error_in_one_cell_is_one_line_exit_3(

@@ -5,9 +5,12 @@ NaN), is unhashable, and refuses each single fault in its input with one
 fixed message.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import margfit
 from margfit import (
     AdjustedTable,
     CloneCounts,
@@ -19,6 +22,8 @@ from margfit import (
     SampleBatch,
     WeightVector,
     cross_product_ratios,
+    replicate_marginal_estimates,
+    tables,
 )
 
 NAN = float("nan")
@@ -245,6 +250,9 @@ ERROR_CASES = [
     (pairs, [[1.9, 1], [2, 2.5]], "pair labels must be integers"),
     (pairs, [[NAN, 1]], "pair labels must be integers"),
     (pairs, [[1e19, 1]], "pair labels must lie in the int64 range"),
+    # CloneCounts totals that an int64 sum would wrap, to -2**63 and to 0
+    (CloneCounts, [2**62, 2**62], f"clone count total {2**63} exceeds the int64 range"),
+    (CloneCounts, [2**62] * 4, f"clone count total {2**64} exceeds the int64 range"),
 ]
 
 
@@ -297,3 +305,58 @@ def test_python_ints_beyond_int64_get_the_range_message():
             CountTable(values)
         assert str(excinfo.value) == "counts must be integers"
     assert CountTable(np.array([[1, 2]], dtype=object)) == CountTable([[1, 2]])
+
+
+def test_clone_count_total_at_the_int64_maximum_is_exact():
+    clones = CloneCounts([2**62, 2**62 - 1])
+    assert clones.total == 2**63 - 1 and type(clones.total) is int
+    assert clones.to_weights() == WeightVector([0.5, 0.5])
+
+
+def replicates(seed):
+    # Column 2 has probability 0.1, so at n = 5 some tables leave it empty.
+    p = [[0.45, 0.05], [0.45, 0.05]]
+    return replicate_marginal_estimates(p, [0.9, 0.1], n=5, replications=64, seed=seed)
+
+
+class TestMarginalReplicatesContract:
+    def test_equal_runs_compare_equal_with_nan_entries(self):
+        first, second = replicates(7), replicates(7)
+        assert first.excluded.any() and np.isnan(first.ptilde_rows).any()
+        assert first is not second
+        assert first == second
+        assert not (first != second)
+
+    def test_another_seed_compares_unequal(self):
+        # Decided by value: identity equality would return NotImplemented here.
+        first, other = replicates(7), replicates(8)
+        assert first.__eq__(other) is False
+        assert first != other
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(replicates(7))
+
+    def test_arrays_are_read_only(self):
+        reps = replicates(7)
+        for name in ("phat_rows", "ptilde_rows", "excluded"):
+            with pytest.raises(ValueError):
+                getattr(reps, name)[0] = 0
+
+
+def test_every_exported_value_type_has_the_shared_contract():
+    """An exported dataclass that turns off the generated ``__eq__`` must
+    take ``_fields_equal`` and be unhashable, as ``tables._value_type`` makes
+    it; identity equality on a value type is a silent fault."""
+    exported = (getattr(margfit, name) for name in margfit.__all__)
+    value_types = [
+        cls
+        for cls in exported
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and not cls.__dataclass_params__.eq
+    ]
+    assert {cls.__name__ for cls in value_types} >= {*EQUALITY_CASES, "MarginalReplicates"}
+    for cls in value_types:
+        assert cls.__eq__ is tables._fields_equal, cls.__name__
+        assert cls.__hash__ is None, cls.__name__
