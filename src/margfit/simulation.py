@@ -33,10 +33,10 @@ as many as the cores the process may run on, capped at the number of grid
 cells, so ``margfit simulate`` uses every available core and its output bits
 equal those of the serial run.
 
-A block of :func:`replicate_marginal_estimates` is one
-``multinomial(n, cells, size)`` call, reduced over the 1-D view
-``counts[:, i*J + j]`` of each cell of its ``(size, I*J)`` output. Column
-totals and row totals are exact integer sums; ``phat[i]`` is the row total
+A block of :func:`replicate_marginal_estimates` above the outcome-table cap
+(next paragraph) is one ``multinomial(n, cells, size)`` call, reduced over
+the 1-D view ``counts[:, i*J + j]`` of each cell of its ``(size, I*J)``
+output. Column totals and row totals are exact integer sums; ``phat[i]`` is the row total
 divided by n, and ``ptilde[i]`` adds ``count[i, j] * (known_col[j] /
 col_sum[j])`` from j = 0 upward, the order of numpy's ``sum(axis=2)`` over
 the ``(size, I, J)`` products for up to 7 columns, so the bits equal that
@@ -45,6 +45,21 @@ Only the rows that ``rows`` selects are reduced (``run_experiment`` reads
 row 0 alone), each into a row-major ``(rows, R)`` store, so one row's
 estimates are contiguous; a selected row's bits equal its column of the
 all-rows result, and the CLI output bits did not move with this layout.
+
+A cell of at least two table cells with at most ``TABLE_OUTCOMES`` possible
+count tables, C(n + I*J - 1, I*J - 1) of them (n <= 56 for 2x2), is drawn
+from its outcome table instead: the count vectors in lexicographic order and
+their multinomial pmf. Count x of cell k gets the factor (m**x / x!) / (m**d
+/ d!), m = n * p[k] and d = floor(m), a ``np.cumprod`` of the ratios m / t up
+from d and t / m down from it, so no factor exceeds 1; an outcome's weight is
+the product of its cells' factors, and the pmf the weights over their sum.
+Each outcome is reduced once, as a block's counts are. Block c maps ``size``
+doubles u of ``_stream(seed, (*key, c))`` to outcome ``np.searchsorted(cdf,
+u, side="right")``, ``cdf`` being the running sum of the pmf divided by its
+last entry (which makes that entry 1), and takes that outcome's estimates.
+A guide table (Chen & Asau 1974) finds the same index with fewer
+comparisons; its size is outside the determinism contract. Every other
+cell, like :func:`_chunk_estimates` itself, draws with numpy's multinomial.
 
 Each worker of :func:`replicate_weighted_frequencies` allocates its buffers
 once, for a slab of ``max(1, _SLAB_DRAWS // n)`` replications capped at the
@@ -68,7 +83,8 @@ tests check the Monte Carlo cells within their standard errors.
 
 Values use IEEE basic operations, sqrt, numpy sums in an order fixed by array
 shapes and, for a cell's cpr, a correctly rounded :mod:`decimal` exp: no BLAS,
-and no libm exp, log or pow outside numpy's multinomial sampler (see README).
+and no libm exp, log or pow outside numpy's multinomial sampler, which only
+cells above the outcome-table cap call (see README).
 """
 
 from __future__ import annotations
@@ -103,6 +119,7 @@ from .tables import (
 
 __all__ = [
     "CHUNK_REPLICATIONS",
+    "TABLE_OUTCOMES",
     "WEIGHTED_BLOCK_DRAWS",
     "DEFAULT_N_GRID",
     "DEFAULT_REPLICATIONS",
@@ -124,6 +141,11 @@ __all__ = [
 # Replication block size; part of the determinism contract (changing it
 # changes which stream serves which replication).
 CHUNK_REPLICATIONS = 4096
+
+# Most outcomes (count tables) that a cell of replicate_marginal_estimates
+# may have to be drawn from its outcome table; part of the determinism
+# contract, since a cell above it draws its counts with numpy's multinomial.
+TABLE_OUTCOMES = 2**15
 
 # Category draws per block of replicate_weighted_frequencies, which draws
 # blocks of max(1, WEIGHTED_BLOCK_DRAWS // n) replications; part of the
@@ -300,9 +322,22 @@ def _chunk_estimates(
     rng: np.random.Generator,
     rows: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    counts = rng.multinomial(n, flat_cells, size=size)
+    return _count_estimates(counts, col_probs, dims, n, rows)
+
+
+def _count_estimates(
+    counts: np.ndarray,
+    col_probs: np.ndarray,
+    dims: tuple[int, int],
+    n: int,
+    rows: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimates of each row of ``counts``, a ``(size, I*J)`` array of
+    row-major count tables: phat and ptilde ``(size, rows)``, excluded ``(size,)``."""
     n_rows, n_cols = dims
     rows = range(n_rows) if rows is None else rows
-    counts = rng.multinomial(n, flat_cells, size=size)
+    size = counts.shape[0]
     # cell[i][j] is the 1-D view of count[i, j] over the block; every sum
     # adds whole views from left to right.
     cell = [[counts[:, i * n_cols + j] for j in range(n_cols)] for i in range(n_rows)]
@@ -323,6 +358,56 @@ def _chunk_estimates(
                 ptilde[r] += np.multiply(cell[i][j], scale[j], out=term)
     np.copyto(ptilde, np.nan, where=excluded)
     return phat.T, ptilde.T, excluded
+
+
+def _outcome_table(flat_cells: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Every count vector of n draws over ``flat_cells``, as the rows of an
+    ``(outcomes, cells)`` array in lexicographic order, their multinomial
+    pmf and the CDF that draws them, by the table rule of the module
+    docstring: the CDF's last entry is 1."""
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n])  # draws not yet placed, per prefix
+    for _ in range(flat_cells.size - 1):
+        # Prefix m grows into left[m] + 1 vectors, whose next count runs 0..left[m].
+        width = left + 1
+        value = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack((np.repeat(counts, width, axis=0), value))
+        left = np.repeat(left, width) - value
+    counts = np.column_stack((counts, left))
+    t = np.arange(1, n + 1)
+    weight = np.ones(counts.shape[0])
+    for k, prob in enumerate(flat_cells):
+        # factor[x] = (m**x / x!) / (m**mode / mode!) with m = n * prob, from
+        # the ratios m / t multiplied outward from the mode: each is <= 1.
+        m = n * prob
+        mode = min(int(m), n)
+        below = np.cumprod(t[:mode][::-1] / m)[::-1]
+        factor = np.concatenate((below, [1.0], np.cumprod(m / t[mode:])))
+        weight *= factor[counts[:, k]]
+    pmf = weight / weight.sum()
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    return counts, pmf, cdf
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen & Asau's guide table of a CDF: ``guide[j] = #{cdf <= j/G}`` for
+    j = 0..G, with G the power of two from 4 to 8 times ``cdf.size``."""
+    grid = 4 << (cdf.size - 1).bit_length()
+    # cdf * grid is exact, so cdf <= j/G exactly where ceil(cdf * grid) <= j.
+    return np.cumsum(np.bincount(np.ceil(cdf * grid).astype(np.intp), minlength=grid + 1))
+
+
+def _outcome_index(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for draws u in [0, 1). With
+    j = floor(u*G), exact for G a power of two, j/G <= u < (j+1)/G, so the
+    index lies in [guide[j], guide[j+1]]: the CDF is searched only for the
+    draws where those two differ."""
+    j = (u * (guide.size - 1)).astype(np.intp)
+    index = guide[j]
+    search = np.flatnonzero(index != guide[j + 1])
+    index[search] = np.searchsorted(cdf, u[search], side="right")
+    return index
 
 
 def _run_blocks(seed: int, key: tuple, replications: int, block: int, kernel, workers=1) -> None:
@@ -382,10 +467,24 @@ def replicate_marginal_estimates(
     phat = np.empty((len(rows), replications))
     ptilde = np.empty((len(rows), replications))
     excluded = np.empty(replications, dtype=bool)
+    # One cell has one outcome whatever n is, and a table's pmf arrays hold n + 1 entries.
+    if flat.size > 1 and math.comb(n + flat.size - 1, flat.size - 1) <= TABLE_OUTCOMES:
+        counts, _, cdf = _outcome_table(flat, n)
+        outcomes = _count_estimates(counts, known_col.probs, p.dims, n, rows)
+        guide = _guide_table(cdf)
+
+        def estimates(rng, size):
+            index = _outcome_index(cdf, guide, rng.random(size))
+            return [np.take(values, index, axis=0) for values in outcomes]
+
+    else:
+
+        def estimates(rng, size):
+            return _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng, rows)
 
     def kernel(blocks) -> None:
         for rng, start, size in blocks:
-            ph, pt, ex = _chunk_estimates(flat, known_col.probs, p.dims, n, size, rng, rows)
+            ph, pt, ex = estimates(rng, size)
             phat[:, start : start + size] = ph.T
             ptilde[:, start : start + size] = pt.T
             excluded[start : start + size] = ex
@@ -572,7 +671,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     any setting produces bit-identical results, because every block's
     stream and every aggregation order is fixed by indices alone. ``None``
     means one thread per available core, at most one per grid cell; one
-    worker runs the cells in order on the calling thread.
+    worker runs the cells on the calling thread. Cells are handed out from
+    both ends of the n-major list in turn (0, N-1, 1, N-2, ...) and the grid
+    is assembled by index.
     """
     from decimal import Context, Decimal  # imported on use: only a grid cell needs it
 
@@ -600,7 +701,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             n, lc, asym_pct, target, reps.phat_rows[:, 0], reps.ptilde_rows[:, 0], reps.excluded
         )
 
-    return ExperimentGrid(cells=tuple(_map_threads(run_cell, len(points), workers)))
+    # Cells go out from both ends of the n-major list in turn, so small cells,
+    # which draw from an outcome table and hold the GIL, run beside large
+    # ones, whose multinomial draws release it.
+    order = [k // 2 if k % 2 == 0 else len(points) - 1 - k // 2 for k in range(len(points))]
+    cells = _map_threads(lambda k: run_cell(order[k]), len(points), workers)
+    return ExperimentGrid(cells=tuple(cell for _, cell in sorted(zip(order, cells))))
 
 
 @dataclass(frozen=True)

@@ -320,9 +320,9 @@ class TestSimulateOutputPinned:
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("I", "71511b78eb4bc9b22b5aa80ae3ff34db28c1b371b90040bfd41812e3eb5895ab"),
-            ("II", "9d97dea4a8c836736fb4ea1bc9bd52df81ac0bca8feae0654e1ca24d3ffba6f9"),
-            ("III", "3b1d08529aa3de5055f87d46cadf135a3f624742bf966cf09f038f8b43ccbba5"),
+            ("I", "966bbec03884ed1da9c855d649b81b4e843b5e5790d615d3b5f7e66e54460f28"),
+            ("II", "feb17c9c91f98fb8b47299259db2a7be8a9b784419b9fd1f559d2a50c9fd8c6a"),
+            ("III", "3ed55b9b1a35cd48ecdb4a690a7ff53d33a48c3b11ec061013b59e7b1157646e"),
         ],
         ids=["I", "II", "III"],
     )
@@ -480,7 +480,7 @@ _PINNED_DIGESTS = [
     ("ipf-not-converged", "json", "df28e9e3ee3182365752fe0ecca8f2113bcc9a0922463ae555c030dbe4ae06a9"),
     ("case-study", "csv", "61e69f94647d82f3214b88270ff14116ee596a70e58ed3c0aede0052ecaea3f2"),
     ("case-study", "json", "3ee39cb935751f840f163bfdcf4cce8164e018ff1071d2e77ef54baf9963af4f"),
-    ("simulate", "json", "9024becddbc6152c415775462e3601c193369acbe957415a3300bc4065e12059"),
+    ("simulate", "json", "d96a492b06ef03bea5fb8f02975f7325a14ce88a05c2e5929054bad30a86faf5"),
 ]
 
 
@@ -762,6 +762,25 @@ class TestAsymptoticsComputesOnce:
         assert code == 0
         assert built == [(5, 5), (5, 5)]
 
+    def test_one_variance_gap_per_request(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        gap = asymptotics.variance_gap
+
+        def counting(p):
+            calls.append(p.dims)
+            return gap(p)
+
+        monkeypatch.setattr(asymptotics, "variance_gap", counting)
+        monkeypatch.setattr(cli, "variance_gap", counting)
+        path = tmp_path / "t.csv"
+        write_text(path, render_joint_table(random_joint(np.random.default_rng(71), 5, 4)))
+        code, out, _ = run(capsys, "asymptotics", "--table", str(path))
+        assert code == 0 and calls == [(5, 4)]
+        printed = parse_sections_text(out)["adjusted_covariance"]
+        monkeypatch.setattr(asymptotics, "variance_gap", gap)
+        expected = asymptotics.adjusted_marginal_covariance(read_joint_table(path)).entries
+        assert np.array_equal(printed, expected)
+
     def test_reduction_equals_asymptotic_reduction_bit_for_bit(self, capsys, tmp_path):
         rng = np.random.default_rng(67)
         path = tmp_path / "t.csv"
@@ -864,7 +883,14 @@ class TestSimulateErrorCells:
                 "fewer than 2 replications had all columns observed",
             ),
             (
-                {"n_grid": [2], "replications": 3, "seed": 3, "log_cpr_grid": [0.0]},
+                # Row 0 has probability 1e-9, so every kept replication's
+                # plain estimate is 0, whatever the streams draw.
+                {
+                    "row_marginal": [1e-9, 0.999999999],
+                    "n_grid": [2],
+                    "replications": 50,
+                    "log_cpr_grid": [0.0],
+                },
                 "unadjusted estimator variance is zero",
             ),
         ],

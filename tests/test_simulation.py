@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import outer_product_table
+from helpers import gamma, outer_product_table
 from margfit import (
     ExperimentConfig,
     JointDistribution,
@@ -1089,6 +1090,61 @@ def reference_chunk_estimates(flat_cells, col_probs, dims, n, size, rng):
     return phat, ptilde, excluded
 
 
+class DrawnCounts:
+    """A generator stand-in whose ``multinomial`` returns given count vectors,
+    so a kernel that draws its counts can be run on counts drawn elsewhere."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def multinomial(self, n, pvals, size):
+        assert size == len(self.counts)
+        return self.counts
+
+
+def lexicographic_counts(n, k):
+    """Every k-tuple of counts summing to n, in lexicographic order."""
+    if k == 1:
+        return [(n,)]
+    return [(x, *rest) for x in range(n + 1) for rest in lexicographic_counts(n - x, k - 1)]
+
+
+def exact_multinomial(flat_cells, n):
+    """The count vectors of n draws over the cells, in lexicographic order,
+    and their exact multinomial probabilities as integer numerators over one
+    denominator: with the cells' doubles written as A_k / D, outcome x has
+    probability (prod_k comb(n - x_1 - ... - x_{k-1}, x_k) A_k**x_k) / (sum_k
+    A_k)**n, the law of the cells rescaled to sum to 1."""
+    probs = [Fraction(float(v)) for v in flat_cells]
+    den = math.lcm(*(p.denominator for p in probs))
+    big = [int(p * den) for p in probs]
+    powers = [[a**c for c in range(n + 1)] for a in big]
+    outcomes = lexicographic_counts(n, len(big))
+    numerators = []
+    for x in outcomes:
+        value, left = 1, n
+        for k, c in enumerate(x):
+            value *= math.comb(left, c) * powers[k][c]
+            left -= c
+        numerators.append(value)
+    return outcomes, numerators, sum(big) ** n
+
+
+def table_rule_estimates(flat_cells, col_probs, dims, n, size, rng):
+    """Reference for a block of a cell drawn from its outcome table: the
+    outcomes of :func:`exact_multinomial`, the exact running sums of their
+    probabilities each rounded once to a double as the CDF, outcome
+    ``np.searchsorted(cdf, u, side="right")`` for each of ``size`` doubles u
+    of ``rng``, reduced by :func:`reference_chunk_estimates`. This CDF and the
+    kernel's differ by rounding alone, under 1e-12, so the two could pick
+    different outcomes only for a u that close to a CDF value."""
+    outcomes, numerators, total = exact_multinomial(flat_cells, n)
+    cdf = np.array([float(Fraction(s, total)) for s in itertools.accumulate(numerators)])
+    index = np.searchsorted(cdf, rng.random(size), side="right")
+    drawn = DrawnCounts(np.array(outcomes)[index])
+    return reference_chunk_estimates(flat_cells, col_probs, dims, n, size, drawn)
+
+
 def random_chunk_inputs(rng, n_rows, n_cols, thin_column):
     cells = rng.dirichlet(np.ones(n_rows * n_cols)).reshape(n_rows, n_cols)
     if thin_column:
@@ -1117,14 +1173,34 @@ class TestChunkKernelMatchesReference:
         assert excluded_seen > 0
 
     def test_replications_over_two_full_chunks_and_a_partial_one(self):
+        # n = 20 on a 2x2 table is a cell drawn from its outcome table.
         reps = 10000
         assert 2 * CHUNK_REPLICATIONS < reps < 3 * CHUNK_REPLICATIONS
         col = marg([0.9, 0.1])
         table = JointDistribution([[0.6, 0.06], [0.3, 0.04]])
         got = replicate_marginal_estimates(table, col, 20, reps, seed=4, stream_key=(7,))
         parts = [
-            reference_chunk_estimates(
+            table_rule_estimates(
                 table.cells.ravel(), col.probs, (2, 2), 20, size, _stream(4, (7, c))
+            )
+            for c, size in enumerate((CHUNK_REPLICATIONS, CHUNK_REPLICATIONS, reps - 8192))
+        ]
+        want = [np.concatenate(arrays) for arrays in zip(*parts)]
+        assert want[2].any()
+        assert np.array_equal(got.phat_rows, want[0])
+        assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
+        assert np.array_equal(got.excluded, want[2])
+
+    def test_multinomial_cell_over_two_full_chunks_and_a_partial_one(self):
+        # n = 1000 is above the outcome-table cap; the second column is thin
+        # enough to be empty in about 5 % of the replications.
+        reps = 10000
+        col = marg([0.9, 0.1])
+        table = JointDistribution([[0.6, 0.002], [0.397, 0.001]])
+        got = replicate_marginal_estimates(table, col, 1000, reps, seed=4, stream_key=(7,))
+        parts = [
+            reference_chunk_estimates(
+                table.cells.ravel(), col.probs, (2, 2), 1000, size, _stream(4, (7, c))
             )
             for c, size in enumerate((CHUNK_REPLICATIONS, CHUNK_REPLICATIONS, reps - 8192))
         ]
@@ -1147,6 +1223,130 @@ class TestChunkKernelMatchesReference:
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[2], want[2])
                 np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+
+
+class TestOutcomeTable:
+    """A cell with at most TABLE_OUTCOMES possible count tables draws an
+    outcome index from its exact table, checked here against stdlib
+    references."""
+
+    # Two 2x2 tables (case II at log cpr 2, and one with a thin column and an
+    # empty cell) and one 2x3 table with a thin column.
+    TABLES = [
+        study_table("II", 2.0)[0].cells,
+        [[0.5, 0.0], [0.499, 0.001]],
+        [[0.25, 0.125, 0.002], [0.3, 0.3, 0.023]],
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_pmf_is_the_exact_multinomial(self, n):
+        # A count x_k at distance d_k from its factor's mode takes d_k
+        # divisions by (or of) the rounded n * p_k and d_k - 1 products, and
+        # sum_k d_k <= 2n; the K factors take K - 1 products: a = 6n + K
+        # roundings per weight. Their sum of M terms adds M - 1 and the
+        # division one, so each probability lies within gamma(2a + M).
+        for cells in self.TABLES:
+            flat = np.array(cells, dtype=float).ravel()
+            counts, pmf, _ = simulation._outcome_table(flat, n)
+            outcomes, numerators, total = exact_multinomial(flat, n)
+            assert counts.tolist() == [list(x) for x in outcomes]
+            bound = Fraction(gamma(2 * (6 * n + flat.size) + len(outcomes)))
+            for value, exact in zip(pmf.tolist(), numerators):
+                num, den = value.as_integer_ratio()
+                # |value - exact / total| <= bound * exact / total, in integers
+                error = abs(num * total - exact * den) * bound.denominator
+                assert error <= bound.numerator * exact * den, (cells, n, value)
+
+    def test_guide_table_index_is_the_searchsorted_rule(self):
+        u_rng = _stream(29, ())
+        for cells in self.TABLES:
+            for n in (1, 3, 20):
+                flat = np.array(cells, dtype=float).ravel()
+                _, _, cdf = simulation._outcome_table(flat, n)
+                assert cdf[-1] == 1.0
+                inner = cdf[cdf < 1.0]  # a draw is below 1
+                u = np.concatenate(
+                    (
+                        [0.0, np.nextafter(1.0, 0.0)],
+                        inner,
+                        np.nextafter(inner, 0.0),
+                        np.nextafter(inner, 1.0),
+                        u_rng.random(2000),
+                    )
+                )
+                guide = simulation._guide_table(cdf)
+                got = simulation._outcome_index(cdf, guide, u)
+                assert np.array_equal(got, np.searchsorted(cdf, u, side="right")), (cells, n)
+
+    def test_edge_draws_through_replicate_marginal_estimates(self, monkeypatch):
+        # u = 0, every CDF value below 1 and the largest double below 1, in
+        # place of a table cell's stream doubles, over more than one block.
+        table, col = JointDistribution(self.TABLES[1]), marg([0.6, 0.4])
+        flat = table.cells.ravel()
+        counts, _, cdf = simulation._outcome_table(flat, 20)
+        u = np.tile(np.concatenate(([0.0], cdf[cdf < 1.0], [np.nextafter(1.0, 0.0)])), 3)
+        assert u.size > CHUNK_REPLICATIONS
+
+        class Doubles:
+            def __init__(self, block):
+                self.start = block * CHUNK_REPLICATIONS
+
+            def random(self, size):
+                return u[self.start : self.start + size]
+
+        monkeypatch.setattr(simulation, "_stream", lambda seed, key: Doubles(key[-1]))
+        got = replicate_marginal_estimates(table, col, 20, u.size, seed=0)
+        drawn = DrawnCounts(counts[np.searchsorted(cdf, u, side="right")])
+        want = _chunk_estimates(flat, col.probs, (2, 2), 20, u.size, drawn)
+        assert np.array_equal(got.phat_rows, want[0])
+        assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
+        assert np.array_equal(got.excluded, want[2])
+
+    def test_estimates_are_the_chunk_kernel_on_the_drawn_counts(self):
+        reps = 2 * CHUNK_REPLICATIONS + 7
+        excluded_seen = 0
+        for cells, known, n, rows in [
+            (self.TABLES[1], [0.6, 0.4], 20, None),
+            (self.TABLES[2], [0.5, 0.3, 0.2], 3, (1,)),
+            ([[0.2, 0.001], [0.5, 0.099], [0.1, 0.1]], [0.6, 0.4], 4, (2, 0)),
+        ]:
+            table, col = JointDistribution(cells), marg(known)
+            flat, dims = table.cells.ravel(), table.dims
+            got = replicate_marginal_estimates(table, col, n, reps, 12, (4,), rows=rows)
+            counts, _, cdf = simulation._outcome_table(flat, n)
+            parts = []
+            for c, start in enumerate(range(0, reps, CHUNK_REPLICATIONS)):
+                size = min(CHUNK_REPLICATIONS, reps - start)
+                index = np.searchsorted(cdf, _stream(12, (4, c)).random(size), side="right")
+                drawn = DrawnCounts(counts[index])
+                parts.append(_chunk_estimates(flat, col.probs, dims, n, size, drawn, rows))
+            want = [np.concatenate(arrays) for arrays in zip(*parts)]
+            assert np.array_equal(got.phat_rows, want[0])
+            assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
+            assert np.array_equal(got.excluded, want[2])
+            excluded_seen += int(got.excluded.sum())
+        assert excluded_seen > 0
+
+    @pytest.mark.parametrize("n, from_table", [(56, True), (57, False)])
+    def test_cap_on_a_two_by_two_cell(self, monkeypatch, n, from_table):
+        assert (math.comb(n + 3, 3) <= simulation.TABLE_OUTCOMES) == from_table
+        calls = []
+        for name in ("_outcome_table", "_chunk_estimates"):
+            original = getattr(simulation, name)
+
+            def recording(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, recording)
+        table, col = JointDistribution(self.TABLES[0]), marg([0.7, 0.3])
+        got = replicate_marginal_estimates(table, col, n, 300, seed=5, stream_key=(2,))
+        assert calls == (["_outcome_table"] if from_table else ["_chunk_estimates"])
+        if not from_table:  # numpy's multinomial, with the bits it always had
+            args = (table.cells.ravel(), col.probs, (2, 2), n, 300, _stream(5, (2, 0)))
+            want = reference_chunk_estimates(*args)
+            assert np.array_equal(got.phat_rows, want[0])
+            assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
 
 
 def row_subsets(rng, n_rows):
