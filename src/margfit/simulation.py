@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -293,9 +292,9 @@ class ExperimentGrid:
 
     cells: tuple[GridCell, ...]
 
-    def find(self, n: int, log_cpr: float, atol: float = 1e-12) -> GridCell:
+    def find(self, n: int, log_cpr: float) -> GridCell:
         for cell in self.cells:
-            if cell.n == n and abs(cell.log_cpr - log_cpr) <= atol:
+            if cell.n == n and abs(cell.log_cpr - log_cpr) <= 1e-12:
                 return cell
         raise KeyError(f"no grid cell at n={n}, log_cpr={log_cpr}")
 
@@ -639,25 +638,14 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def __getattr__(name: str):
-    """The module attribute ``ThreadPoolExecutor``, imported on first access
-    and then kept as a global: only a pool needs :mod:`concurrent.futures` and
-    the :mod:`logging` it imports, so a one-worker run never loads them."""
-    if name != "ThreadPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ThreadPoolExecutor
-
-    globals()[name] = ThreadPoolExecutor
-    return ThreadPoolExecutor
-
-
 def _map_threads(task, count: int, workers: int) -> list:
     """``[task(k) for k in range(count)]`` on ``workers`` threads; one worker
-    runs the tasks in order on the calling thread, with no pool. A pool is
-    the class that the module attribute ``ThreadPoolExecutor`` holds."""
+    runs the tasks in order on the calling thread, with no pool."""
     if workers == 1:
         return [task(k) for k in range(count)]
-    with sys.modules[__name__].ThreadPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ThreadPoolExecutor  # imported on use: only a pool needs it
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, range(count)))
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import decimal
 import hashlib
 import itertools
@@ -459,12 +460,12 @@ def pools(monkeypatch):
     """The ``max_workers`` of every pool that the simulation starts."""
     started = []
 
-    class RecordingPool(simulation.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     return started
 
 

@@ -68,12 +68,10 @@ def test_one_worker_grid_loads_decimal_but_no_pool():
     assert not added & {"concurrent.futures", "logging"}
 
 
-def test_thread_pool_class_is_a_cached_module_attribute():
-    from concurrent.futures import ThreadPoolExecutor
-
-    import margfit.simulation as simulation
-
-    assert simulation.ThreadPoolExecutor is ThreadPoolExecutor
-    assert vars(simulation)["ThreadPoolExecutor"] is ThreadPoolExecutor
-    with pytest.raises(AttributeError, match="has no attribute 'ProcessPoolExecutor'"):
-        simulation.ProcessPoolExecutor
+def test_two_worker_grid_loads_a_pool():
+    added = added_modules(
+        "from margfit import ExperimentConfig, run_experiment\n"
+        "cfg = ExperimentConfig((0.5, 0.5), (0.5, 0.5), (0.0, 1.0), (20,), 2)\n"
+        "run_experiment(cfg, workers=2)\n"
+    )
+    assert {"decimal", "concurrent.futures"} <= added
