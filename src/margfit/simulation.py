@@ -79,7 +79,8 @@ order fixed by n. The tests require the bits of the searchsorted form.
 
 :func:`exact_reduction` is the exact finite-n value of a 2x2 grid cell's
 reduction over the samples with both columns observed, against which the
-tests check the Monte Carlo cells within their standard errors.
+tests check the Monte Carlo cells within their standard errors. It reads the
+column count's law from the outcome table of the column marginal's two cells.
 
 Values use IEEE basic operations, sqrt, numpy sums in an order fixed by array
 shapes and, for a cell's cpr, a correctly rounded :mod:`decimal` exp: no BLAS,
@@ -566,10 +567,10 @@ def exact_reduction(p: JointDistribution, n: int) -> float:
     study keeps). 2x2 tables only.
 
     With column probability b and q1 = p11/b, q2 = p12/(1-b), the column
-    count N1 is Bin(n, b) truncated to 1..n-1. Given N1 the adjusted
-    estimate has mean a = p11 + p12 and variance b^2 q1(1-q1)/N1 +
-    (1-b)^2 q2(1-q2)/(n-N1); the plain estimate has mean (N1 q1 + (n-N1)
-    q2)/n, and its variance follows by the law of total variance.
+    count N1 is Bin(n, b), read from the outcome table of cells (b, 1-b),
+    truncated to 1..n-1. Given N1 the adjusted estimate has mean p11 + p12
+    and variance b^2 q1(1-q1)/N1 + (1-b)^2 q2(1-q2)/(n-N1); the plain one
+    has mean (N1 q1 + (n-N1) q2)/n and a variance by the law of total variance.
     """
     if p.dims != (2, 2):
         raise ValueError(f"exact_reduction needs a 2x2 table, got {p.dims[0]}x{p.dims[1]}")
@@ -580,12 +581,8 @@ def exact_reduction(p: JointDistribution, n: int) -> float:
         raise ValueError("a column has zero probability; no sample observes both columns")
     q1, q2 = p11 / b, p12 / (1.0 - b)
     k = np.arange(1, n)
-    # ratio[k - 1] = pmf(k) / pmf(k - 1) is <= 1 above a mode m and >= 1 up
-    # to it, so the products outward from m stay <= 1.
-    m = min(max(int((n + 1) * b), 1), n - 1)
-    ratio = (n - k + 1) / k * (b / (1.0 - b))
-    below = np.cumprod(1.0 / ratio[m - 1 : 0 : -1])[::-1]
-    pmf = np.concatenate((below, [1.0], np.cumprod(ratio[m:])))
+    # The two-cell outcome table lists (k, n - k) for k = 0..n: N1's law.
+    pmf = _outcome_table(np.array([b, 1.0 - b]), n)[1][1:n]
     pmf /= pmf.sum()
     v1, v2 = q1 * (1.0 - q1), q2 * (1.0 - q2)
     var_tilde = float((pmf * (b * b * v1 / k + (1.0 - b) * (1.0 - b) * v2 / (n - k))).sum())

@@ -1258,6 +1258,31 @@ class TestOutcomeTable:
                 error = abs(num * total - exact * den) * bound.denominator
                 assert error <= bound.numerator * exact * den, (cells, n, value)
 
+    @pytest.mark.parametrize("n", [2, 57, 400])
+    def test_two_cell_pmf_is_the_exact_binomial(self, n):
+        # exact_reduction reads N1's law from a two-cell table, whose n + 1
+        # outcomes stay under the draw cap at any n. The bound above holds
+        # while no rounding underflows. A factor is a running product of
+        # ratios <= 1, so every step of a weight is at least the weight,
+        # p * S; the weights sum to S = (n**n / n!) / prod_k (m**d / d!) >=
+        # 1 / (e sqrt(n)), as each m**d / d! <= e**m and n! <= e n**n sqrt(n)
+        # / e**n. So a probability p >= (isqrt(n) + 1) / 2**1020 is held to the
+        # bound, and a smaller one underflows towards 0 and stays below twice that.
+        small = (math.isqrt(n) + 1) * 2.0**-1020
+        for b in (0.3, 0.9, 1e-9, 1.0 - 1e-9):
+            flat = np.array([b, 1.0 - b])
+            counts, pmf, _ = simulation._outcome_table(flat, n)
+            outcomes, numerators, total = exact_multinomial(flat, n)
+            assert counts.tolist() == [list(x) for x in outcomes]
+            bound = Fraction(gamma(2 * (6 * n + flat.size) + len(outcomes)))
+            for value, exact in zip(pmf.tolist(), numerators):
+                if exact << 1020 < total * (math.isqrt(n) + 1):
+                    assert 0.0 <= value < 2 * small, (b, n, value)
+                    continue
+                num, den = value.as_integer_ratio()
+                error = abs(num * total - exact * den) * bound.denominator
+                assert error <= bound.numerator * exact * den, (b, n, value)
+
     def test_guide_table_index_is_the_searchsorted_rule(self):
         u_rng = _stream(29, ())
         for cells in self.TABLES:
@@ -1348,6 +1373,114 @@ class TestOutcomeTable:
             want = reference_chunk_estimates(*args)
             assert np.array_equal(got.phat_rows, want[0])
             assert np.array_equal(got.ptilde_rows, want[1], equal_nan=True)
+
+
+def grown(*errors):
+    """The relative error (1 + e_1)(1 + e_2)... - 1 of a product of factors."""
+    return math.prod(1.0 + e for e in errors) - 1.0
+
+
+class TestOutcomeTableGivesExactReduction:
+    """The reduction over the kept outcomes of the table that draws a cell with
+    n <= 56, weighted by their pmf, is :func:`exact_reduction`, on the 25 log
+    cprs of cases I-III at n = 20 and 56.
+
+    Both round R = 1 - Vt/Vh of the law P* that exact_reduction reads: column
+    b, rows q1 = p11/b and q2 = p12/(1 - b) as doubles, the adjustment to
+    (b, 1 - b), and N1 in 1..n-1. Each variance V lies within a relative eps
+    of P*'s, from these facts, with u the unit roundoff:
+    - a pmf within gamma(k) of a law whose cells are within rho of P*'s has
+      kept, renormalised weights w within a factor 1 + g of P*'s w*, g =
+      ((1 + rho)/(1 - rho))**n (1 + gamma(k))/(1 - gamma(k)) - 1, with k =
+      2(6n + K) + M as test_pmf_is_the_exact_multinomial derives. A sum of
+      positive terms under w is within 1 + g of its value under w*, and so is
+      a variance, since each law's mean minimises its weighted squares;
+    - centred values within e of exact ones move the root of their weighted
+      squares by at most e (the triangle inequality);
+    - a sum of m terms of k roundings each is within gamma(m - 1 + k), and
+      (1 + theta_j)/(1 + theta_k) within gamma(j + k) (Higham, Lemma 3.3).
+    Vt/Vh then lies within (1 + eps_t)(1 + u)/(1 - eps_h) - 1 of P*'s ratio,
+    and each R within that times 1 - R, plus u|R| for the last subtraction.
+    gamma(1) stands for u, which it exceeds.
+    """
+
+    @staticmethod
+    def weight_error(law, model, n, k):
+        """g for a pmf within gamma(k) of ``law``, against ``model``'s cells."""
+        rho = float(max(abs(a / m - 1) for a, m in zip(law, model)))
+        return ((1 + rho) / (1 - rho)) ** n * (1 + gamma(k)) / (1 - gamma(k)) - 1
+
+    @staticmethod
+    def variance_error(v, k, g, e):
+        """eps of a variance computed as v = (1 + theta_k) sum w d**2, with
+        weights within 1 + g and centred values d within e of exact ones."""
+        root = (math.sqrt(v / (1 + gamma(k))) - e) / math.sqrt(1 + g)  # <= the exact root
+        high = (1 + gamma(k)) * (math.sqrt(1 + g) + e / root) ** 2 - 1
+        low = 1 - (1 - gamma(k)) * (1 / math.sqrt(1 + g) - e / root) ** 2
+        return max(high, low)
+
+    @staticmethod
+    def reduction_error(reduction, eps_tilde, eps_hat):
+        ratio = (1 + eps_tilde) * (1 + gamma(1)) / (1 - eps_hat) - 1
+        last = 2 * gamma(1) * abs(reduction)
+        return (abs(1 - reduction) + last) * ratio * (1 + 2 * ratio) + last
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_bundled_grids_at_n_20_and_56(self, case):
+        for lc in load_study_config(case).log_cpr_grid:
+            table, _ = study_table(case, lc)
+            flat = table.cells.ravel()
+            b = float(table.cells[:, 0].sum())
+            q1, q2 = table.cells[0, 0] / b, table.cells[0, 1] / (1.0 - b)
+            fb, fq1, fq2 = Fraction(b), Fraction(q1), Fraction(q2)
+            model = [fb * fq1, (1 - fb) * fq2, fb * (1 - fq1), (1 - fb) * (1 - fq2)]
+            law = [Fraction(v) / sum(map(Fraction, flat.tolist())) for v in flat.tolist()]
+            rest = Fraction(1.0 - b)
+            two_cells = [fb / (fb + rest), rest / (fb + rest)]
+            for n in (20, 56):
+                counts, pmf, _ = simulation._outcome_table(flat, n)
+                phat, ptilde, excluded = simulation._count_estimates(
+                    counts, np.array([b, 1.0 - b]), (2, 2), n, (0,)
+                )
+                kept, weight = ~excluded, pmf[~excluded]
+                m, total = int(kept.sum()), weight.sum()
+                variances, eps = [], []
+                g = self.weight_error(law, model, n, 2 * (6 * n + 4) + pmf.size)
+                for x in (phat[kept, 0], ptilde[kept, 0]):
+                    mean = (weight * x).sum() / total
+                    variances.append((weight * (x - mean) ** 2).sum() / total)
+                    # x within gamma(4) of P*'s values (ptilde's target 1 - b
+                    # is rounded), so within gamma(5) |x| of them, and the mean
+                    # within gamma(2m) of its weighted sum: e <= (2 gamma(5) +
+                    # gamma(2m)) max |x|. The squares' sum over the total
+                    # takes 2m + 3 roundings.
+                    e = gamma(2 * m + 10) * np.abs(x).max()
+                    eps.append(self.variance_error(variances[-1], 2 * m + 3, g, e))
+                enumerated = 1.0 - variances[1] / variances[0]
+                error = self.reduction_error(enumerated, eps[1], eps[0])
+
+                # exact_reduction: weights within gamma(n) after its
+                # renormalisation; mean_k within gamma(2n - 1), so n - mean_k
+                # within n - 1 times that, as 1 <= mean_k <= n - 1; 9
+                # roundings in each weighted term of Vt; 5 in each of mean_k
+                # v1 / n**2, (n - mean_k) v2 / n**2 and gap**2 var_k / n**2,
+                # and 1 in their sum.
+                exact = exact_reduction(table, n)
+                g = self.weight_error(two_cells, [fb, 1 - fb], n, 2 * (6 * n + 2) + n + 1)
+                w = simulation._outcome_table(np.array([b, 1.0 - b]), n)[1][1:n]
+                w /= w.sum()
+                k = np.arange(1, n)
+                mean_k = (w * k).sum()
+                var_k = (w * (k - mean_k) ** 2).sum()
+                eps_mean = grown(g, gamma(2 * n - 1))
+                eps_rest = grown((n - 1) * eps_mean, gamma(1))
+                eps_var_k = self.variance_error(var_k, 2 * n + 2, g, gamma(2 * n - 1) * (n - 1))
+                eps_first = grown(max(eps_mean, eps_rest), gamma(5))
+                eps_hat = grown(max(eps_first, grown(eps_var_k, gamma(5))), gamma(1))
+                error += self.reduction_error(exact, grown(g, gamma(2 * n + 7)), eps_hat)
+
+                assert m == pmf.size - 2 * (n + 1)  # kept: N1 in 1..n-1
+                assert abs(enumerated - exact) <= error, (case, lc, n, enumerated, exact, error)
 
 
 def row_subsets(rng, n_rows):
