@@ -111,7 +111,7 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_adjust(args) -> dict:
     phat = _load_table(args)
-    marginal = read_marginal(args.marginal, axis="column").marginal
+    marginal = read_marginal(args.marginal, axis="column")
     adjusted = adjust_to_known_marginal(phat, marginal)
     return {
         "adjusted_cells": adjusted.cells,
@@ -152,18 +152,14 @@ def _cmd_simulate(args) -> tuple:
 
 def _cmd_case_study(args) -> tuple:
     counts = read_count_table(args.counts) if args.counts else load_gidas_table3()
-    marginal = (
-        read_marginal(args.marginal, axis="column").marginal
-        if args.marginal
-        else load_destatis2014()
-    )
+    marginal = read_marginal(args.marginal) if args.marginal else load_destatis2014()
     return run_case_study(counts, marginal), render_case_study_csv, case_study_to_json_dict
 
 
 def _cmd_ipf(args) -> dict:
     init = _load_table(args)
-    row_target = read_marginal(args.row_marginal, axis="row").marginal
-    col_target = read_marginal(args.col_marginal, axis="column").marginal
+    row_target = read_marginal(args.row_marginal, axis="row")
+    col_target = read_marginal(args.col_marginal, axis="column")
     result = ipf_fit(init, row_target, col_target, tol=args.tol, max_iter=args.max_iter)
     return {
         "fitted": result.table.cells,

@@ -9,7 +9,7 @@ emitted file re-parses to the exact in-memory value. Formats:
   ignored.
 * joint table: same layout with float cells summing to 1.
 * marginal: a single data line, either probabilities summing to 1 or
-  nonnegative integer counts (auto-normalized; the mode is recorded).
+  nonnegative integer counts (auto-normalized).
 * sectioned report: repeated ``#section=<name> rows=<r> cols=<c> kind=...``
   blocks, used for the estimate/adjust/asymptotics/ipf outputs. Section
   names are unique; ``kind=int`` values are int64. Scalars are 1x1 sections,
@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import io as _io
 import re
-from dataclasses import dataclass
 from importlib.resources import files
 from operator import attrgetter
 from pathlib import Path
@@ -59,7 +58,6 @@ from .tables import _integer, _json_array, _json_object
 
 __all__ = [
     "ParseError",
-    "ParsedMarginal",
     "read_count_table",
     "parse_count_table_text",
     "render_count_table",
@@ -257,17 +255,9 @@ def render_joint_table(table: JointDistribution) -> str:
     return _render_table(table.cells)
 
 
-@dataclass(frozen=True)
-class ParsedMarginal:
-    """A parsed marginal plus how it was obtained from the file."""
-
-    marginal: MarginalDistribution
-    normalized_from_counts: bool
-
-
 def parse_marginal_text(
     text: str, source: str = "<string>", axis: Axis = "column"
-) -> ParsedMarginal:
+) -> MarginalDistribution:
     lines = text.splitlines()
     data = list(_data_lines(lines, 0))
     if not data:
@@ -285,13 +275,12 @@ def parse_marginal_text(
     else:
         probs = np.array(values, dtype=np.float64)
     try:
-        marginal = MarginalDistribution(probs, axis=axis)
+        return MarginalDistribution(probs, axis=axis)
     except ValueError as exc:
         raise ParseError(source, line_no, str(exc)) from None
-    return ParsedMarginal(marginal=marginal, normalized_from_counts=from_counts)
 
 
-def read_marginal(path, axis: Axis = "column") -> ParsedMarginal:
+def read_marginal(path, axis: Axis = "column") -> MarginalDistribution:
     return parse_marginal_text(_read_text(path), str(path), axis)
 
 
@@ -547,10 +536,7 @@ def load_gidas_table3() -> CountTable:
 @functools.cache
 def load_destatis2014() -> MarginalDistribution:
     """The bundled 2014 national injury-severity marginal (normalized counts)."""
-    parsed = parse_marginal_text(
-        bundled_data_text("destatis2014.csv"), "destatis2014.csv", axis="column"
-    )
-    return parsed.marginal
+    return parse_marginal_text(bundled_data_text("destatis2014.csv"), "destatis2014.csv")
 
 
 @functools.cache

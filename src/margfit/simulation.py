@@ -109,6 +109,7 @@ from .tables import (
     _json_array,
     _json_object,
     _real,
+    _sample_size,
     _seed,
     _stream,
     _text,
@@ -444,7 +445,7 @@ def replicate_marginal_estimates(
     estimate, in that order, and ``None`` means all of them: column k of
     the estimates is row ``rows[k]``, bit for bit as in the all-rows result.
     """
-    n = _integer(n, "sample size", 1)
+    n = _sample_size(n)
     replications = _integer(replications, "replications", 1)
     seed = _seed(seed)
     if not isinstance(stream_key, tuple):
@@ -590,9 +591,7 @@ def exact_reduction(p: JointDistribution, n: int) -> float:
     var_k = float((pmf * (k - mean_k) ** 2).sum())
     gap = q1 - q2
     var_hat = float((mean_k * v1 + (n - mean_k) * v2) / (n * n) + gap * gap * var_k / (n * n))
-    if var_hat == 0.0:
-        raise ValueError("row marginal is degenerate; variance is zero")
-    return 1.0 - var_tilde / var_hat
+    return 1.0 - float(variance_reduction(var_hat, var_tilde))
 
 
 def _aggregate_cell(
@@ -677,11 +676,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
             cpr = float(Decimal.from_float(lc).exp(Context(prec=40, traps=[])))
             table = build_2x2_from_marginals_cpr(row, col, cpr)
             asym_pct = 100.0 * asymptotic_reduction(table, 0)
+            reps = replicate_marginal_estimates(
+                table, col, n, cfg.replications, cfg.seed, stream_key=(k,), rows=(0,)
+            )
         except ValueError as exc:
             return GridCell(n=n, log_cpr=lc, error=str(exc))
-        reps = replicate_marginal_estimates(
-            table, col, n, cfg.replications, cfg.seed, stream_key=(k,), rows=(0,)
-        )
         return _aggregate_cell(
             n, lc, asym_pct, target, reps.phat_rows[:, 0], reps.ptilde_rows[:, 0], reps.excluded
         )

@@ -74,6 +74,15 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return number
 
 
+def _sample_size(value) -> int:
+    """``value`` as the size n of a multinomial draw: an integer from 1 to
+    2**62 - 1. From 2**62 up numpy's multinomial overstates the variance."""
+    n = _integer(value, "sample size", 1)
+    if n >= 2**62:
+        raise ValueError(f"sample size {n} >= 2**62: numpy's multinomial is inexact there")
+    return n
+
+
 def _seed(value) -> int:
     """``value`` as a master seed: an integer in [0, 2**64)."""
     seed = _whole(value, "seed")
@@ -340,9 +349,9 @@ def sample(p: JointDistribution, n: int, seed: int) -> CountTable:
     The draw is one ``multinomial(n, cells)`` over the row-major cells from
     ``_stream(seed, ())``, so equal (p, n, seed) always yields bit-identical
     counts; no global RNG state is touched. A bool or fractional n or seed
-    is refused, not truncated.
+    is refused, not truncated, and so is an n of 2**62 or more.
     """
-    n = _integer(n, "sample size", 1)
+    n = _sample_size(n)
     counts = _stream(_seed(seed), ()).multinomial(n, p.cells.ravel(order="C"))
     return CountTable(counts.reshape(p.dims))
 

@@ -94,18 +94,22 @@ class TestCountTableFormat:
 
 class TestMarginalFormat:
     def test_integer_counts_normalized(self):
-        parsed = parse_marginal_text("106181,11898,423\n")
-        assert parsed.normalized_from_counts
+        marginal = parse_marginal_text("106181,11898,423\n")
         np.testing.assert_allclose(
-            parsed.marginal.probs,
+            marginal.probs,
             np.array([106181, 11898, 423]) / 118502,
             atol=1e-15,
         )
 
     def test_probabilities_taken_verbatim(self):
-        parsed = parse_marginal_text("0.5,0.5\n")
-        assert not parsed.normalized_from_counts
-        np.testing.assert_array_equal(parsed.marginal.probs, [0.5, 0.5])
+        marginal = parse_marginal_text("0.5,0.5\n")
+        assert type(marginal) is MarginalDistribution
+        np.testing.assert_array_equal(marginal.probs, [0.5, 0.5])
+
+    def test_counts_and_probabilities_read_alike(self):
+        counts = parse_marginal_text("1,1,2\n")
+        assert counts == parse_marginal_text("0.25,0.25,0.5\n")
+        assert counts.probs.tobytes() == np.array([0.25, 0.25, 0.5]).tobytes()
 
     def test_bad_sum_rejected(self):
         with pytest.raises(ParseError, match="sum to 1"):
@@ -124,12 +128,11 @@ class TestMarginalFormat:
             parse_marginal_text("# only a comment\n")
 
     def test_axis_parameter(self):
-        assert parse_marginal_text("0.5,0.5\n", axis="row").marginal.axis == "row"
+        assert parse_marginal_text("0.5,0.5\n", axis="row").axis == "row"
 
     def test_render_round_trip(self):
         marginal = MarginalDistribution([0.25, 0.5, 0.25], axis="column")
-        parsed = parse_marginal_text(render_marginal(marginal))
-        assert parsed.marginal == marginal
+        assert parse_marginal_text(render_marginal(marginal)) == marginal
 
 
 class TestJointTableFormat:

@@ -197,8 +197,8 @@ def per_token_row(text, source, line_no, n_cols, convert):
 
 
 def per_token_marginal(line_no, content):
-    """(marginal, from counts) as parse_marginal_text reads the single data
-    line ``content``, choosing counts or probabilities token by token."""
+    """The marginal parse_marginal_text reads from the single data line
+    ``content``, choosing counts or probabilities token by token."""
     tokens = per_token_row(content, "<string>", line_no, None, str)
     from_counts = all(_INT_RE.fullmatch(token) for token in tokens)
     values = per_token_row(content, "<string>", line_no, None, _count if from_counts else _float)
@@ -210,7 +210,7 @@ def per_token_marginal(line_no, content):
     else:
         probs = np.array(values, dtype=np.float64)
     try:
-        return MarginalDistribution(probs, axis="column"), from_counts
+        return MarginalDistribution(probs, axis="column")
     except ValueError as exc:
         raise ParseError("<string>", line_no, str(exc)) from None
 
@@ -280,13 +280,10 @@ def test_marginal_reads_as_the_per_token_reader(line):
     except ParseError as exc:
         expected = "error", str(exc)
     try:
-        parsed = parse_marginal_text(text)
-        got = "ok", (parsed.marginal, parsed.normalized_from_counts)
+        got = "ok", parse_marginal_text(text)
     except ParseError as exc:
         got = "error", str(exc)
     if got[0] == expected[0] == "ok":
-        (marginal, from_counts), (want, want_counts) = got[1], expected[1]
-        assert from_counts == want_counts
-        assert marginal.probs.tobytes() == want.probs.tobytes()
+        assert got[1].probs.tobytes() == expected[1].probs.tobytes()
     else:
         assert got == expected

@@ -32,6 +32,7 @@ from margfit import (
     replicate_weighted_frequencies,
     run_case_study,
     run_experiment,
+    sample,
 )
 import margfit.simulation as simulation
 from margfit.io import load_destatis2014, load_gidas_table3, load_study_config
@@ -1673,6 +1674,35 @@ class TestSizesBeyondInt64:
         assert cfg.replications == 2**63 - 1 and cfg.seed == 2**64 - 1
         reps = replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.5, 0.5]), 10, 4, 2**64 - 1)
         assert reps.phat_rows.shape == (4, 2)
+
+
+class TestMultinomialSizeCap:
+    """numpy's multinomial overstates the variance from n = 2**62 on (README,
+    Simulation config), so no draw of that size is made."""
+
+    MESSAGE = f"sample size {2**62} >= 2**62: numpy's multinomial is inexact there"
+
+    def test_sample_refuses_2_62(self):
+        with pytest.raises(ValueError) as excinfo:
+            sample(SYMMETRIC_2X2, 2**62, 1)
+        assert str(excinfo.value) == self.MESSAGE
+
+    def test_replicates_refuse_2_62(self):
+        with pytest.raises(ValueError) as excinfo:
+            replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.5, 0.5]), 2**62, 4, 1)
+        assert str(excinfo.value) == self.MESSAGE
+
+    def test_one_below_the_cap_still_draws(self):
+        assert sample(SYMMETRIC_2X2, 2**62 - 1, 1).total == 2**62 - 1
+        reps = replicate_marginal_estimates(SYMMETRIC_2X2, marg([0.5, 0.5]), 2**62 - 1, 4, 1)
+        assert reps.phat_rows.shape == (4, 2) and np.isfinite(reps.phat_rows).all()
+
+    def test_grid_cell_at_the_cap_is_an_error_cell(self):
+        cfg = small_config(n_grid=(2**62 - 1, 2**62), log_cpr_grid=(0.0,), replications=20)
+        below, at = run_experiment(cfg).cells
+        assert below.n == 2**62 - 1 and below.error is None
+        assert math.isfinite(below.reduction_pct)
+        assert at.n == 2**62 and at.error == self.MESSAGE
 
 
 class TestReachableChecks:
