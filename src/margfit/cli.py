@@ -5,11 +5,12 @@ error. Every subcommand is a pure function of its inputs, flags and seed:
 repeated invocations emit identical bytes.
 
 The parser is built once per process, on the first :func:`main` call, and
-reused after that, so ``main`` may be called repeatedly in one process and
-gives the same bytes each time. :func:`build_parser` still returns a fresh
-parser on every call. A command line that starts with a subcommand name is
-parsed by that subcommand's parser alone, and anything else by the full
-parser, with the same messages either way.
+reused, so repeated ``main`` calls give the same bytes; :func:`build_parser`
+still returns a fresh parser. A command line that starts with a command name,
+a key of its ``commands`` dict, is parsed by that command's parser alone, and
+anything else by the full parser, with the same messages either way. Every
+usage rule is declared in the parser, whose errors exit 1: ``adjust``,
+``asymptotics`` and ``ipf`` take exactly one of ``--table`` and ``--counts``.
 """
 
 from __future__ import annotations
@@ -89,15 +90,17 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
+def _add_table_flags(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--table", metavar="PATH")
+    source.add_argument("--counts", metavar="PATH")
+
+
 def _load_table(args) -> "JointDistribution":
     """A probability table from --table, or normalized counts from --counts."""
-    if args.table and args.counts:
-        raise UsageError("pass exactly one of --table and --counts")
-    if args.table:
+    if args.table is not None:
         return read_joint_table(args.table)
-    if args.counts:
-        return empirical_joint(read_count_table(args.counts))
-    raise UsageError("one of --table or --counts is required")
+    return empirical_joint(read_count_table(args.counts))
 
 
 def _cmd_estimate(args) -> dict:
@@ -194,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("estimate", help="empirical joint table and marginals from counts")
     p.add_argument("--counts", required=True, metavar="PATH")
@@ -201,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("adjust", help="reweight a table to a known column marginal")
-    p.add_argument("--counts", metavar="PATH")
-    p.add_argument("--table", metavar="PATH")
+    _add_table_flags(p)
     p.add_argument("--marginal", required=True, metavar="PATH")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_adjust)
@@ -211,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "asymptotics",
         help="limit covariances of both estimators, their gap, and reduction bounds",
     )
-    p.add_argument("--table", metavar="PATH")
-    p.add_argument("--counts", metavar="PATH")
+    _add_table_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_asymptotics)
 
@@ -237,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_case_study)
 
     p = sub.add_parser("ipf", help="iterative proportional fitting to two target marginals")
-    p.add_argument("--table", metavar="PATH")
-    p.add_argument("--counts", metavar="PATH")
+    _add_table_flags(p)
     p.add_argument("--row-marginal", required=True, metavar="PATH")
     p.add_argument("--col-marginal", required=True, metavar="PATH")
     p.add_argument("--tol", type=_FLOAT_FLAG, default=1e-10)
@@ -257,9 +258,8 @@ def _parse_args(argv: list[str]):
     """``argv`` parsed as the full parser would; one that starts with a command
     name goes straight to that command's parser, where the full parser sends it."""
     parser = _shared_parser()
-    (commands,) = parser._subparsers._group_actions
-    if argv and argv[0] in commands.choices:
-        return commands.choices[argv[0]].parse_args(argv[1:])
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:])
     return parser.parse_args(argv)
 
 

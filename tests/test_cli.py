@@ -130,7 +130,7 @@ class TestAdjust:
             marginal_file,
         )
         assert code == 1
-        assert "exactly one" in err
+        assert "argument --table: not allowed with argument --counts" in err
 
 
 class TestAsymptotics:
@@ -638,6 +638,17 @@ def _reference_main(argv, monkeypatch):
 
 
 _C = ["--counts", "counts.csv"]
+# Each table command with both table sources and with neither. Its other
+# required flags are given, and --out names a file that must not be written.
+_TABLE_SOURCE_ERRORS = [
+    [*argv, *source, "--out", "out.csv"]
+    for argv in (
+        ["adjust", "--marginal", "cols.csv"],
+        ["asymptotics"],
+        ["ipf", "--row-marginal", "rows.csv", "--col-marginal", "cols.csv"],
+    )
+    for source in (["--table", "table.csv", *_C], [])
+]
 _DISPATCH_CORPUS = [
     ["estimate", *_C],
     ["estimate", *_C, "--format=json"],
@@ -664,6 +675,7 @@ _DISPATCH_CORPUS = [
     ["simulate", "--config", "config.json", "--seed", "x"],
     ["simulate", "--config", "config.json", "--seed", "-1"],
     ["adjust", *_C, "--table", "table.csv", "--marginal", "cols.csv"],
+    *_TABLE_SOURCE_ERRORS,
     ["estimate", "--counts", "absent.csv"],
     # -- before and after a flag
     ["estimate", "--", *_C],
@@ -726,6 +738,22 @@ class TestDispatchMatchesFullParser:
         assert run(capsys, "estimate", *_C)[0] == 0
         code, _, err = run(capsys, "--format", "json", "estimate", *_C)
         assert (code, err) == (1, "usage error: parsed by the full parser\n")
+
+
+class TestTableSource:
+    # adjust, asymptotics and ipf read their table from exactly one of --table
+    # and --counts. The parser refuses both or neither with one usage line.
+    @pytest.mark.parametrize("argv", _TABLE_SOURCE_ERRORS, ids=" ".join)
+    def test_both_or_neither_is_one_usage_line(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _PINNED_FILES.items():
+            write_text(tmp_path / name, text)
+        write_text(tmp_path / "table.csv", "#rows=2 cols=2\n0.25,0.25\n0.25,0.25\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and err.endswith("\n") and err.count("\n") == 1
+        assert "--table" in err and "--counts" in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestHelp:

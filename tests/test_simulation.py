@@ -239,6 +239,87 @@ class TestMonteCarloMatchesExact:
         assert abs(z_scores[worst]) < 4.0, (worst, z_scores[worst])
 
 
+def count_vectors(n, cells):
+    """Every vector of ``cells`` non-negative integers summing to n."""
+    if cells == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in count_vectors(n - first, cells - 1):
+            yield (first, *rest)
+
+
+def rational_table_reduction(table, known_col, n):
+    """Each row's reduction 1 - Var(ptilde)/Var(phat) in exact rationals, over
+    every count table of size n with all columns observed, weighted by its
+    multinomial probability under the float cells of ``table``."""
+    n_rows, n_cols = table.dims
+    cells = [Fraction(v) for v in table.cells.ravel().tolist()]
+    col = [Fraction(v) for v in known_col.probs.tolist()]
+    weights, phat, ptilde = [], [], []
+    for x in count_vectors(n, len(cells)):
+        rows = [x[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)]
+        col_sums = [sum(row[j] for row in rows) for j in range(n_cols)]
+        if 0 in col_sums:
+            continue
+        ways = math.factorial(n)
+        for count in x:
+            ways //= math.factorial(count)
+        weight = Fraction(ways)
+        for prob, count in zip(cells, x):
+            weight *= prob**count
+        weights.append(weight)
+        phat.append([Fraction(sum(row), n) for row in rows])
+        ptilde.append([sum(col[j] * row[j] / col_sums[j] for j in range(n_cols)) for row in rows])
+    total = sum(weights)
+
+    def variance(values):
+        mean = sum(w * v for w, v in zip(weights, values)) / total
+        return sum(w * (v - mean) ** 2 for w, v in zip(weights, values)) / total
+
+    return [
+        1 - variance([t[i] for t in ptilde]) / variance([h[i] for h in phat])
+        for i in range(n_rows)
+    ]
+
+
+class TestTableCellsMatchExactEnumeration:
+    """Each row's MC reduction of an I x J cell drawn from its outcome table
+    lies within 4 delta-method SEs (as in TestMonteCarloMatchesExact) of an
+    exact rational enumeration that shares no code with the draw."""
+
+    REPLICATIONS = 20000
+    CELLS = [
+        ([[0.20, 0.10, 0.05], [0.15, 0.30, 0.20]], 10, 3003),
+        ([[0.20, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.30]], 5, 1287),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(CELLS)), ids=["2x3-n10", "3x3-n5"])
+    def test_every_row_within_4_se(self, k):
+        cells, n, outcomes = self.CELLS[k]
+        table = JointDistribution(cells)
+        known_col = column_marginal(table)
+        size = table.cells.size
+        assert math.comb(n + size - 1, size - 1) == outcomes <= simulation.TABLE_OUTCOMES
+        exact = rational_table_reduction(table, known_col, n)
+        reps = replicate_marginal_estimates(
+            table, known_col, n, self.REPLICATIONS, seed=2016, stream_key=(k,)
+        )
+        included = ~reps.excluded
+        z_scores = []
+        for r, reduction in enumerate(exact):
+            phat = reps.phat_rows[included, r]
+            ptilde = reps.ptilde_rows[included, r]
+            dev_hat = (phat - phat.mean()) ** 2
+            dev_tilde = (ptilde - ptilde.mean()) ** 2
+            ratio = dev_tilde.sum() / dev_hat.sum()
+            se = np.std(dev_tilde - ratio * dev_hat, ddof=1) / (
+                math.sqrt(included.sum()) * dev_hat.mean()
+            )
+            z_scores.append(((1.0 - ratio) - float(reduction)) / se)
+        assert max(map(abs, z_scores)) < 4.0, (exact, z_scores)
+
+
 def truncated_mean(b, n):
     """E[N1 | 1 <= N1 <= n-1] for N1 ~ Binomial(n, b)."""
     k = np.arange(1, n)
