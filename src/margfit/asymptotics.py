@@ -75,7 +75,7 @@ def _multinomial(probs: np.ndarray) -> np.ndarray:
 
 def multinomial_covariance(p) -> CovarianceMatrix:
     """diag(p) - p p^T: limit covariance of plain relative frequencies."""
-    return CovarianceMatrix(_multinomial(_coerce(p, MarginalDistribution, "row").probs))
+    return CovarianceMatrix(_multinomial(_coerce(p, MarginalDistribution).probs))
 
 
 def marginal_covariance(p: JointDistribution) -> CovarianceMatrix:

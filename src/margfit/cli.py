@@ -114,7 +114,7 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_adjust(args) -> dict:
     phat = _load_table(args)
-    marginal = read_marginal(args.marginal, axis="column")
+    marginal = read_marginal(args.marginal)
     adjusted = adjust_to_known_marginal(phat, marginal)
     return {
         "adjusted_cells": adjusted.cells,
@@ -140,10 +140,9 @@ def _cmd_asymptotics(args) -> dict:
 
 
 def _load_config(path_str: str):
-    path = Path(path_str)
-    if path_str in ("caseI.json", "caseII.json", "caseIII.json") and not path.exists():
+    if path_str in ("caseI.json", "caseII.json", "caseIII.json") and not Path(path_str).exists():
         return load_study_config(path_str[4:-5])
-    return read_experiment_config(path)
+    return read_experiment_config(path_str)
 
 
 def _cmd_simulate(args) -> tuple:
@@ -154,15 +153,15 @@ def _cmd_simulate(args) -> tuple:
 
 
 def _cmd_case_study(args) -> tuple:
-    counts = read_count_table(args.counts) if args.counts else load_gidas_table3()
-    marginal = read_marginal(args.marginal) if args.marginal else load_destatis2014()
+    counts = read_count_table(args.counts) if args.counts is not None else load_gidas_table3()
+    marginal = read_marginal(args.marginal) if args.marginal is not None else load_destatis2014()
     return run_case_study(counts, marginal), render_case_study_csv, case_study_to_json_dict
 
 
 def _cmd_ipf(args) -> dict:
     init = _load_table(args)
-    row_target = read_marginal(args.row_marginal, axis="row")
-    col_target = read_marginal(args.col_marginal, axis="column")
+    row_target = read_marginal(args.row_marginal)
+    col_target = read_marginal(args.col_marginal)
     result = ipf_fit(init, row_target, col_target, tol=args.tol, max_iter=args.max_iter)
     return {
         "fitted": result.table.cells,
@@ -270,7 +269,7 @@ def main(argv=None) -> int:
         # A floating-point fault is one exit-3 line, not a warning on stderr.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             text = _render(args, args.handler(args))
-        if args.out:
+        if args.out is not None:
             write_text(args.out, text)
         else:
             sys.stdout.write(text)

@@ -53,7 +53,7 @@ from .simulation import (
     ExperimentGrid,
     GridCell,
 )
-from .tables import INT64_MAX, Axis, CountTable, JointDistribution, MarginalDistribution
+from .tables import INT64_MAX, CountTable, JointDistribution, MarginalDistribution
 from .tables import _integer, _json_array, _json_object
 
 __all__ = [
@@ -108,7 +108,9 @@ def _read_text(path) -> str:
         message = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
         raise ParseError(str(path), 1, message) from None
     except OSError as exc:
-        exc.filename = str(Path(path))  # pathlib's spelling: "d" for "d/" or "d/."
+        # pathlib's spelling, "d" for "d/" or "d/.", but '' for an empty path,
+        # which pathlib spells "."
+        exc.filename = str(Path(path)) if str(path) else "''"
         raise
 
 
@@ -255,9 +257,7 @@ def render_joint_table(table: JointDistribution) -> str:
     return _render_table(table.cells)
 
 
-def parse_marginal_text(
-    text: str, source: str = "<string>", axis: Axis = "column"
-) -> MarginalDistribution:
+def parse_marginal_text(text: str, source: str = "<string>") -> MarginalDistribution:
     lines = text.splitlines()
     data = list(_data_lines(lines, 0))
     if not data:
@@ -275,13 +275,13 @@ def parse_marginal_text(
     else:
         probs = np.array(values, dtype=np.float64)
     try:
-        return MarginalDistribution(probs, axis=axis)
+        return MarginalDistribution(probs)
     except ValueError as exc:
         raise ParseError(source, line_no, str(exc)) from None
 
 
-def read_marginal(path, axis: Axis = "column") -> MarginalDistribution:
-    return parse_marginal_text(_read_text(path), str(path), axis)
+def read_marginal(path) -> MarginalDistribution:
+    return parse_marginal_text(_read_text(path), str(path))
 
 
 def render_marginal(marginal: MarginalDistribution) -> str:

@@ -183,12 +183,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, axis in (("row_marginal", "row"), ("col_marginal", "column")):
+        for name in ("row_marginal", "col_marginal"):
             pair = tuple(_real(x, f"each {name} entry") for x in getattr(self, name))
             if len(pair) != 2 or not all(0.0 < x < 1.0 for x in pair):
                 raise ValueError(f"{name} must be two probabilities strictly inside (0, 1)")
             try:
-                MarginalDistribution(pair, axis=axis)
+                MarginalDistribution(pair)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
             object.__setattr__(self, name, pair)
@@ -452,7 +452,7 @@ def replicate_marginal_estimates(
         raise ValueError(f"stream_key must be a tuple of integers, got {stream_key!r}")
     stream_key = tuple(_integer(k, "each stream_key entry", 0) for k in stream_key)
     p = _coerce(p, JointDistribution)
-    known_col = _coerce(known_col, MarginalDistribution, "column")
+    known_col = _coerce(known_col, MarginalDistribution)
     known_col.require_positive("known column marginal")
     if len(known_col) != p.n_cols:
         raise ValueError("known marginal length must match the number of columns")
@@ -508,7 +508,7 @@ def replicate_weighted_frequencies(
     one thread per available core; the output bits do not depend on how
     many.
     """
-    probs = _coerce(probs, MarginalDistribution, "row").probs
+    probs = _coerce(probs, MarginalDistribution).probs
     weights = _coerce(weights, WeightVector)
     replications = _integer(replications, "replications", 1)
     seed = _seed(seed)
@@ -666,8 +666,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
         workers = min(_available_cores(), len(points))
     else:
         workers = _integer(workers, "workers", 1)
-    row = MarginalDistribution(cfg.row_marginal, axis="row")
-    col = MarginalDistribution(cfg.col_marginal, axis="column")
+    row = MarginalDistribution(cfg.row_marginal)
+    col = MarginalDistribution(cfg.col_marginal)
     target = cfg.row_marginal[0]
 
     def run_cell(k: int) -> GridCell:

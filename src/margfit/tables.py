@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
     "PROB_TOL",
-    "Axis",
     "JointDistribution",
     "MarginalDistribution",
     "CountTable",
@@ -48,8 +46,6 @@ __all__ = [
 PROB_TOL = 1e-12
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-
-Axis = Literal["row", "column"]
 
 
 def _whole(value, name: str) -> int:
@@ -139,9 +135,9 @@ def _json_array(value, name: str) -> list:
     return value
 
 
-def _coerce(value, kind, *args):
-    """``value`` if it is a ``kind``, else ``kind(value, *args)``."""
-    return value if isinstance(value, kind) else kind(value, *args)
+def _coerce(value, kind):
+    """``value`` if it is a ``kind``, else ``kind(value)``."""
+    return value if isinstance(value, kind) else kind(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -254,17 +250,15 @@ class JointDistribution:
 
 @_value_type
 class MarginalDistribution:
-    """A probability vector over one axis of a joint table."""
+    """A probability vector over one axis of a joint table; which axis is
+    fixed by the parameter it is passed as (``known_col``, ``row_target``)."""
 
     probs: np.ndarray
-    axis: Axis
 
     def __post_init__(self):
         probs = _probabilities(
             self.probs, 1, "marginal must be a non-empty vector", "marginal entries"
         )
-        if self.axis not in ("row", "column"):
-            raise ValueError(f"axis must be 'row' or 'column', got {self.axis!r}")
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
@@ -328,12 +322,12 @@ class SampleBatch:
 
 def row_marginal(p: JointDistribution) -> MarginalDistribution:
     """Sum each row of the table: the distribution of the row variable."""
-    return MarginalDistribution(p.cells.sum(axis=1), axis="row")
+    return MarginalDistribution(p.cells.sum(axis=1))
 
 
 def column_marginal(p: JointDistribution) -> MarginalDistribution:
     """Sum each column of the table: the distribution of the column variable."""
-    return MarginalDistribution(p.cells.sum(axis=0), axis="column")
+    return MarginalDistribution(p.cells.sum(axis=0))
 
 
 def empirical_joint(c: CountTable) -> JointDistribution:

@@ -56,8 +56,8 @@ def criterion(number: int, name: str, max_seconds: float | None = None):
     print(f"[criterion {number}] {name}: PASS ({elapsed:.2f}s)")
 
 
-def marg(values, axis="column"):
-    return MarginalDistribution(values, axis=axis)
+def marg(values):
+    return MarginalDistribution(values)
 
 
 def thousand_tables():
@@ -116,7 +116,7 @@ def test_criterion_3_quadratic_form_identity():
 def test_criterion_4_monte_carlo_clt():
     with criterion(4, "scaled replication variances match both limits", 30.0):
         table = build_2x2_from_marginals_cpr(
-            marg([0.5, 0.5], "row"), marg([0.5, 0.5]), 9.0
+            marg([0.5, 0.5]), marg([0.5, 0.5]), 9.0
         )
         n, reps_count = 10000, 20000
         reps = replicate_marginal_estimates(

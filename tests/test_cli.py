@@ -649,6 +649,18 @@ _TABLE_SOURCE_ERRORS = [
     )
     for source in (["--table", "table.csv", *_C], [])
 ]
+# Each command line gives one path flag an empty value, which is read like
+# any other path and cannot be.
+_EMPTY_INPUT_PATHS = [
+    ["estimate", "--counts", ""],
+    ["adjust", "--table", "", "--marginal", "cols.csv"],
+    ["adjust", *_C, "--marginal", ""],
+    ["ipf", *_C, "--row-marginal", "", "--col-marginal", "cols.csv"],
+    ["simulate", "--config", ""],
+    ["case-study", "--counts", ""],
+    ["case-study", "--marginal", ""],
+]
+_EMPTY_OUT_PATH = ["estimate", *_C, "--out", ""]
 _DISPATCH_CORPUS = [
     ["estimate", *_C],
     ["estimate", *_C, "--format=json"],
@@ -677,6 +689,8 @@ _DISPATCH_CORPUS = [
     ["adjust", *_C, "--table", "table.csv", "--marginal", "cols.csv"],
     *_TABLE_SOURCE_ERRORS,
     ["estimate", "--counts", "absent.csv"],
+    *_EMPTY_INPUT_PATHS,
+    _EMPTY_OUT_PATH,
     # -- before and after a flag
     ["estimate", "--", *_C],
     ["estimate", *_C, "--"],
@@ -754,6 +768,26 @@ class TestTableSource:
         assert err.startswith("usage error:") and err.endswith("\n") and err.count("\n") == 1
         assert "--table" in err and "--counts" in err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestEmptyPath:
+    # A path flag that is given is read, even when its value is empty; the
+    # message names the empty path as '', not as pathlib's ".".
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _PINNED_FILES.items():
+            write_text(tmp_path / name, text)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", _EMPTY_INPUT_PATHS, ids=" ".join)
+    def test_empty_input_path_is_a_parse_error(self, capsys, files, argv):
+        assert run(capsys, *argv) == (2, "", "parse error: cannot read ''\n")
+
+    def test_empty_out_path_is_a_write_error(self, capsys, files):
+        code, out, err = run(capsys, *_EMPTY_OUT_PATH)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(": ''\n")
 
 
 class TestHelp:

@@ -29,8 +29,8 @@ from margfit.simulation import replicate_marginal_estimates
 from margfit.tables import build_2x2_from_marginals_cpr
 
 
-def marg(values, axis="column"):
-    return MarginalDistribution(values, axis=axis)
+def marg(values):
+    return MarginalDistribution(values)
 
 
 class TestWeightedFrequencies:
@@ -259,7 +259,7 @@ class TestPostStratifiedVarianceIsNotKish:
 
     def test_monte_carlo_matches_adjusted_covariance_and_not_kish(self):
         n, replications = 1000, 20000
-        row = marg([0.5, 0.5], axis="row")
+        row = marg([0.5, 0.5])
         col = marg([0.5, 0.5])
         table = build_2x2_from_marginals_cpr(row, col, math.exp(4.0))
         adjusted = adjusted_marginal_covariance(table).entries[0, 0]
@@ -340,7 +340,7 @@ class TestIpf:
 
     def test_uniform_converges_in_one_iteration(self):
         table = JointDistribution(np.full((2, 2), 0.25))
-        result = ipf_fit(table, marg([0.5, 0.5], "row"), marg([0.5, 0.5]), tol=1e-10)
+        result = ipf_fit(table, marg([0.5, 0.5]), marg([0.5, 0.5]), tol=1e-10)
         assert result.converged and result.iterations <= 1
         np.testing.assert_allclose(result.table.cells, 0.25, atol=1e-15)
 
@@ -350,7 +350,7 @@ class TestIpf:
             table = random_joint(rng)
             rows = 0.1 + rng.random(table.n_rows)
             cols = 0.1 + rng.random(table.n_cols)
-            row_target = marg(rows / rows.sum(), "row")
+            row_target = marg(rows / rows.sum())
             col_target = marg(cols / cols.sum())
             result = ipf_fit(table, row_target, col_target, tol=1e-12)
             assert result.converged
@@ -365,7 +365,7 @@ class TestIpf:
         table = JointDistribution(cells)
         before = cross_product_ratios(table).ratios
         result = ipf_fit(
-            table, marg([0.2, 0.5, 0.3], "row"), marg([0.4, 0.35, 0.25]), max_iter=1
+            table, marg([0.2, 0.5, 0.3]), marg([0.4, 0.35, 0.25]), max_iter=1
         )
         fitted = result.table
         assert fitted.cells[0, 1] == 0.0
@@ -376,18 +376,18 @@ class TestIpf:
     def test_structurally_infeasible_rejected(self):
         table = JointDistribution([[0.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="infeasible"):
-            ipf_fit(table, marg([0.3, 0.7], "row"), marg([0.5, 0.5]))
+            ipf_fit(table, marg([0.3, 0.7]), marg([0.5, 0.5]))
 
     def test_unconverged_flag_when_budget_too_small(self):
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-        result = ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), max_iter=0)
+        result = ipf_fit(table, marg([0.2, 0.8]), marg([0.7, 0.3]), max_iter=0)
         assert not result.converged and result.iterations == 0
         assert result.table == table
 
     def test_target_positivity_required(self):
         table = JointDistribution(np.full((2, 2), 0.25))
         with pytest.raises(ValueError, match="strictly positive"):
-            ipf_fit(table, marg([1.0, 0.0], "row"), marg([0.5, 0.5]))
+            ipf_fit(table, marg([1.0, 0.0]), marg([0.5, 0.5]))
 
 
 class TestIpfTolerance:
@@ -395,16 +395,16 @@ class TestIpfTolerance:
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
         for tol in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol"):
-                ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=tol)
+                ipf_fit(table, marg([0.2, 0.8]), marg([0.7, 0.3]), tol=tol)
 
     def test_int_tol_beyond_double_range_rejected(self):
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
         with pytest.raises(ValueError, match="tol must be finite"):
-            ipf_fit(table, marg([0.2, 0.8], "row"), marg([0.7, 0.3]), tol=10**400)
+            ipf_fit(table, marg([0.2, 0.8]), marg([0.7, 0.3]), tol=10**400)
 
     def test_max_iter_and_tol_must_be_numbers(self):
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-        rows, cols = marg([0.2, 0.8], "row"), marg([0.7, 0.3])
+        rows, cols = marg([0.2, 0.8]), marg([0.7, 0.3])
         for max_iter in (2.5, True, "3", -1):
             with pytest.raises(ValueError, match="max_iter"):
                 ipf_fit(table, rows, cols, max_iter=max_iter)
@@ -450,7 +450,7 @@ def random_ipf_problem(rng):
 def random_targets(rng, table):
     rows = 0.05 + rng.random(table.n_rows)
     cols = 0.05 + rng.random(table.n_cols)
-    return marg(rows / rows.sum(), "row"), marg(cols / cols.sum())
+    return marg(rows / rows.sum()), marg(cols / cols.sum())
 
 
 class TestIpfMatchesReference:
@@ -479,7 +479,7 @@ class TestIpfMaxDeviation:
 
     def test_at_least_tol_when_not_converged(self):
         table = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-        rows, cols = marg([0.2, 0.8], "row"), marg([0.7, 0.3])
+        rows, cols = marg([0.2, 0.8]), marg([0.7, 0.3])
         result = ipf_fit(table, rows, cols, max_iter=0)
         assert not result.converged and result.max_deviation >= 1e-10
         assert result.max_deviation == deviation(table.cells, rows, cols)
@@ -489,7 +489,7 @@ class TestIpfMaxDeviation:
 
     def test_fixed_point_reads_zero(self):
         table = JointDistribution(np.full((2, 2), 0.25))
-        result = ipf_fit(table, marg([0.5, 0.5], "row"), marg([0.5, 0.5]))
+        result = ipf_fit(table, marg([0.5, 0.5]), marg([0.5, 0.5]))
         assert (result.iterations, result.max_deviation) == (0, 0.0)
 
 
@@ -534,7 +534,7 @@ class TestSubnormalColumnSum:
 
     def test_ipf_converges(self):
         table = JointDistribution([row[:3] for row in self.CELLS])
-        rows, cols = marg([0.6, 0.4], "row"), marg([0.5, 0.3, 0.2])
+        rows, cols = marg([0.6, 0.4]), marg([0.5, 0.3, 0.2])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             result = ipf_fit(table, rows, cols)
         assert result.converged
@@ -554,7 +554,7 @@ class TestSubnormalRowSum:
     )
     def test_ipf_converges(self, cells, rows, cols):
         table = JointDistribution(cells)
-        rows, cols = marg(rows, "row"), marg(cols)
+        rows, cols = marg(rows), marg(cols)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             result = ipf_fit(table, rows, cols)
         assert result.converged
@@ -565,7 +565,7 @@ class TestSubnormalRowSum:
         table = JointDistribution([[0.5, 0.5], [5e-324, 0.0]])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(ValueError, match="underflowed to zero"):
-                ipf_fit(table, marg([0.5, 0.5], "row"), marg([0.2, 0.8]))
+                ipf_fit(table, marg([0.5, 0.5]), marg([0.2, 0.8]))
 
 
 def subnormal_ipf_problem(rng):
@@ -653,7 +653,7 @@ class TestReachableChecks:
     )
     def test_ipf_targets_of_the_wrong_length(self, rows, cols):
         with pytest.raises(ValueError) as excinfo:
-            ipf_fit(self.TABLE, marg(rows, "row"), marg(cols))
+            ipf_fit(self.TABLE, marg(rows), marg(cols))
         assert str(excinfo.value) == "target marginal lengths must match the table dims"
 
     @pytest.mark.parametrize("cols", [[1.0], [0.2, 0.3, 0.5]])

@@ -74,7 +74,7 @@ def test_adjusted_cells_match_the_exact_rational(case):
     counts, known = case
     rows, cols = counts.shape
     cells = adjust_to_known_marginal(
-        empirical_joint(CountTable(counts)), MarginalDistribution(known, axis="column")
+        empirical_joint(CountTable(counts)), MarginalDistribution(known)
     ).cells
     m = [Fraction(v) for v in known.tolist()]
     col_sums = counts.sum(axis=0).tolist()
@@ -169,8 +169,8 @@ def test_one_ipf_pass_matches_the_exact_rational(case):
     positive y_ij."""
     counts, row_weights, col_weights = case
     p = empirical_joint(CountTable(counts))
-    row_target = MarginalDistribution(row_weights, axis="row")
-    col_target = MarginalDistribution(col_weights, axis="column")
+    row_target = MarginalDistribution(row_weights)
+    col_target = MarginalDistribution(col_weights)
     fit = ipf_fit(p, row_target, col_target, tol=1e-300, max_iter=1)
     assume(fit.iterations == 1)  # a table already on both targets in float runs no pass
     rows, cols = p.dims

@@ -127,11 +127,8 @@ class TestMarginalFormat:
         with pytest.raises(ParseError, match="no marginal data"):
             parse_marginal_text("# only a comment\n")
 
-    def test_axis_parameter(self):
-        assert parse_marginal_text("0.5,0.5\n", axis="row").axis == "row"
-
     def test_render_round_trip(self):
-        marginal = MarginalDistribution([0.25, 0.5, 0.25], axis="column")
+        marginal = MarginalDistribution([0.25, 0.5, 0.25])
         assert parse_marginal_text(render_marginal(marginal)) == marginal
 
 

@@ -210,7 +210,7 @@ def per_token_marginal(line_no, content):
     else:
         probs = np.array(values, dtype=np.float64)
     try:
-        return MarginalDistribution(probs, axis="column")
+        return MarginalDistribution(probs)
     except ValueError as exc:
         raise ParseError("<string>", line_no, str(exc)) from None
 

@@ -42,8 +42,8 @@ from margfit.tables import PROB_TOL, CountTable, empirical_joint, row_marginal
 SYMMETRIC_2X2 = JointDistribution([[0.375, 0.125], [0.125, 0.375]])
 
 
-def marg(values, axis="column"):
-    return MarginalDistribution(values, axis=axis)
+def marg(values):
+    return MarginalDistribution(values)
 
 
 class TestAsymptoticReduction:
@@ -82,7 +82,7 @@ class TestAsymptoticReduction:
 def study_table(case, log_cpr):
     cfg = load_study_config(case)
     col = marg(cfg.col_marginal)
-    return build_2x2_from_marginals_cpr(marg(cfg.row_marginal, "row"), col, math.exp(log_cpr)), col
+    return build_2x2_from_marginals_cpr(marg(cfg.row_marginal), col, math.exp(log_cpr)), col
 
 
 def enumerated_reduction(table, n):
@@ -474,7 +474,7 @@ class TestRunExperiment:
         cfg = small_config()
         grid = run_experiment(cfg)
         table = build_2x2_from_marginals_cpr(
-            marg(cfg.row_marginal, "row"), marg(cfg.col_marginal), math.exp(cfg.log_cpr_grid[1])
+            marg(cfg.row_marginal), marg(cfg.col_marginal), math.exp(cfg.log_cpr_grid[1])
         )
         # Cell index 1 is (n=20, second cpr) in n-major order.
         reps = replicate_marginal_estimates(
@@ -981,8 +981,8 @@ class TestOutputIndependentOfBlasKernel:
         "values += variance_gap_quadratic(joint, np.arange(joint.n_rows, dtype=float))\n"
         "for case in ('I', 'II', 'III'):\n"
         "    cfg = load_study_config(case)\n"
-        "    row = MarginalDistribution(cfg.row_marginal, axis='row')\n"
-        "    col = MarginalDistribution(cfg.col_marginal, axis='column')\n"
+        "    row = MarginalDistribution(cfg.row_marginal)\n"
+        "    col = MarginalDistribution(cfg.col_marginal)\n"
         "    for lc in cfg.log_cpr_grid:\n"
         "        table = build_2x2_from_marginals_cpr(row, col, math.exp(lc))\n"
         "        values += variance_gap_quadratic(table, [1.0, 0.0])\n"
@@ -1647,7 +1647,7 @@ class TestRowSubsetMatchesAllRows:
             replications=400,
             seed=13,
         )
-        row = marg(cfg.row_marginal, "row")
+        row = marg(cfg.row_marginal)
         col = marg(cfg.col_marginal)
         want = []
         for k, (n, lc) in enumerate((n, lc) for n in cfg.n_grid for lc in cfg.log_cpr_grid):

@@ -23,8 +23,8 @@ from margfit.simulation import _stream
 SYMMETRIC_2X2 = JointDistribution([[0.375, 0.125], [0.125, 0.375]])
 
 
-def marg(values, axis):
-    return MarginalDistribution(values, axis=axis)
+def marg(values):
+    return MarginalDistribution(values)
 
 
 class TestValidation:
@@ -49,13 +49,13 @@ class TestValidation:
 
     def test_marginal_rejects_zero_sum_and_negative(self):
         with pytest.raises(ValueError):
-            MarginalDistribution([0.6, 0.5], axis="row")
+            MarginalDistribution([0.6, 0.5])
         with pytest.raises(ValueError):
-            MarginalDistribution([1.2, -0.2], axis="row")
+            MarginalDistribution([1.2, -0.2])
 
     def test_marginal_require_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            MarginalDistribution([1.0, 0.0], axis="column").require_positive()
+            MarginalDistribution([1.0, 0.0]).require_positive()
 
     def test_count_table_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError):
@@ -102,10 +102,6 @@ class TestMarginals:
 
     def test_column_marginal_degenerate(self):
         np.testing.assert_array_equal(column_marginal(JointDistribution([[1.0]])).probs, [1.0])
-
-    def test_axis_labels(self):
-        assert row_marginal(SYMMETRIC_2X2).axis == "row"
-        assert column_marginal(SYMMETRIC_2X2).axis == "column"
 
 
 class TestEmpiricalJoint:
@@ -218,25 +214,25 @@ class TestCrossProductRatios:
 class TestBuild2x2:
     def test_independence(self):
         table = build_2x2_from_marginals_cpr(
-            marg([0.5, 0.5], "row"), marg([0.5, 0.5], "column"), 1.0
+            marg([0.5, 0.5]), marg([0.5, 0.5]), 1.0
         )
         np.testing.assert_array_equal(table.cells, np.full((2, 2), 0.25))
 
     def test_cpr_nine_feasible_root(self):
         # 8 p^2 - 9 p + 2.25 = 0 has roots 0.75 and 0.375; only 0.375 is feasible.
         table = build_2x2_from_marginals_cpr(
-            marg([0.5, 0.5], "row"), marg([0.5, 0.5], "column"), 9.0
+            marg([0.5, 0.5]), marg([0.5, 0.5]), 9.0
         )
         assert table.cells[0, 0] == pytest.approx(0.375, abs=1e-12)
 
     def test_product_table_for_skewed_marginals(self):
         table = build_2x2_from_marginals_cpr(
-            marg([0.9, 0.1], "row"), marg([0.7, 0.3], "column"), 1.0
+            marg([0.9, 0.1]), marg([0.7, 0.3]), 1.0
         )
         assert table.cells[0, 0] == pytest.approx(0.63, abs=1e-15)
 
     def test_invalid_cpr(self):
-        row, col = marg([0.5, 0.5], "row"), marg([0.5, 0.5], "column")
+        row, col = marg([0.5, 0.5]), marg([0.5, 0.5])
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 build_2x2_from_marginals_cpr(row, col, bad)
@@ -244,13 +240,13 @@ class TestBuild2x2:
     def test_degenerate_marginals_rejected(self):
         with pytest.raises(ValueError, match="non-degenerate"):
             build_2x2_from_marginals_cpr(
-                marg([1.0, 0.0], "row"), marg([0.5, 0.5], "column"), 2.0
+                marg([1.0, 0.0]), marg([0.5, 0.5]), 2.0
             )
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 2"):
             build_2x2_from_marginals_cpr(
-                marg([0.2, 0.3, 0.5], "row"), marg([0.5, 0.5], "column"), 2.0
+                marg([0.2, 0.3, 0.5]), marg([0.5, 0.5]), 2.0
             )
 
     def test_requested_marginals_and_cpr_over_grid(self):
@@ -259,7 +255,7 @@ class TestBuild2x2:
                 for log_cpr in np.linspace(-5.0, 5.0, 11):
                     cpr = math.exp(log_cpr)
                     table = build_2x2_from_marginals_cpr(
-                        marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr
+                        marg([a, 1 - a]), marg([b, 1 - b]), cpr
                     )
                     np.testing.assert_allclose(
                         row_marginal(table).probs, [a, 1 - a], atol=1e-12
@@ -343,9 +339,9 @@ class TestBuildMatchesTwoRootSearch:
     def test_same_cells_or_a_value_error_on_a_fixed_grid(self):
         outcomes = {"same": 0, "both refuse": 0}
         for a in self.MARGINALS:
-            row = marg([a, 1 - a], "row")
+            row = marg([a, 1 - a])
             for b in self.MARGINALS:
-                col = marg([b, 1 - b], "column")
+                col = marg([b, 1 - b])
                 for log_cpr in self.LOG_CPRS:
                     cpr = math.exp(log_cpr)
                     try:
@@ -378,7 +374,7 @@ class TestBuildMatchesTwoRootSearch:
             cpr = math.exp(rng.uniform(-700.0, 700.0) * rng.choice([1.0, 0.05]))
             try:
                 table = build_2x2_from_marginals_cpr(
-                    marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr
+                    marg([a, 1 - a]), marg([b, 1 - b]), cpr
                 )
             except ValueError:
                 continue
@@ -399,12 +395,12 @@ class TestBuildMatchesTwoRootSearch:
         with pytest.raises(ZeroDivisionError):
             two_root_search(a, b, cpr)
         with pytest.raises(ValueError, match="too extreme for double precision"):
-            build_2x2_from_marginals_cpr(marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr)
+            build_2x2_from_marginals_cpr(marg([a, 1 - a]), marg([b, 1 - b]), cpr)
 
     def test_overflowed_quadratic_is_too_extreme(self):
         with pytest.raises(ValueError, match="too extreme for double precision"):
             build_2x2_from_marginals_cpr(
-                marg([0.5, 0.5], "row"), marg([0.5, 0.5], "column"), 1e308
+                marg([0.5, 0.5]), marg([0.5, 0.5]), 1e308
             )
 
     def test_a_table_the_near_tie_sort_refused_is_built(self):
@@ -415,7 +411,7 @@ class TestBuildMatchesTwoRootSearch:
         with pytest.raises(ValueError, match="too extreme"):
             two_root_search(a, b, cpr)
         table = build_2x2_from_marginals_cpr(
-            marg([a, 1 - a], "row"), marg([b, 1 - b], "column"), cpr
+            marg([a, 1 - a]), marg([b, 1 - b]), cpr
         )
         assert_exact_table(table.cells, a, b, cpr)
 

@@ -35,7 +35,7 @@ def joint(cells):
 
 
 def row(probs):
-    return MarginalDistribution(probs, axis="row")
+    return MarginalDistribution(probs)
 
 
 def pairs(labels):
@@ -45,7 +45,7 @@ def pairs(labels):
 def adjusted(cells, known, mask=()):
     return AdjustedTable(
         cells=cells,
-        known_col_marginal=MarginalDistribution(known, axis="column"),
+        known_col_marginal=MarginalDistribution(known),
         zero_column_mask=frozenset(mask),
     )
 
@@ -55,7 +55,7 @@ def halves(cells):
 
 
 # name -> (factory of the reference value, variants that differ from it in
-# one respect: an entry, the shape, the axis or the dims)
+# one respect: an entry, the shape or the dims)
 EQUALITY_CASES = {
     "JointDistribution": (
         lambda: joint([[0.25, 0.25], [0.25, 0.25]]),
@@ -65,11 +65,10 @@ EQUALITY_CASES = {
         ],
     ),
     "MarginalDistribution": (
-        lambda: MarginalDistribution([0.5, 0.5], axis="row"),
+        lambda: MarginalDistribution([0.5, 0.5]),
         [
-            lambda: MarginalDistribution([0.25, 0.75], axis="row"),
-            lambda: MarginalDistribution([0.25, 0.25, 0.5], axis="row"),
-            lambda: MarginalDistribution([0.5, 0.5], axis="column"),
+            lambda: MarginalDistribution([0.25, 0.75]),
+            lambda: MarginalDistribution([0.25, 0.25, 0.5]),
         ],
     ),
     "WeightVector": (
@@ -176,11 +175,6 @@ ERROR_CASES = [
     (row, [NAN, 1.0], "marginal entries must be finite and >= 0"),
     (row, [1.5, -0.5], "marginal entries must be finite and >= 0"),
     (row, [0.5, 0.25], "marginal entries must sum to 1, got 0.75"),
-    (
-        lambda axis: MarginalDistribution([0.5, 0.5], axis=axis),
-        "diag",
-        "axis must be 'row' or 'column', got 'diag'",
-    ),
     # WeightVector
     (WeightVector, [[0.5, 0.5]], "weights must be a non-empty vector"),
     (WeightVector, [], "weights must be a non-empty vector"),
