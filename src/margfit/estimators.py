@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 import numpy as np
@@ -228,7 +228,7 @@ def adjusted_row_marginal(t: AdjustedTable) -> np.ndarray:
     return t.cells.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@_value_type
 class IpfResult:
     """An IPF fit. ``max_deviation`` is the largest absolute deviation of
     either marginal of ``table`` from its target: below ``tol`` exactly when

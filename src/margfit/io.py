@@ -21,8 +21,9 @@ emitted file re-parses to the exact in-memory value. Formats:
   full-precision raw columns.
 
 A grid cell's or case-study row's values, CSV columns and JSON keys come
-from its record's one field table (``_GRID_FIELDS``, ``_CASE_STUDY_FIELDS``
-in :mod:`margfit.simulation`), which one CSV and one JSON codec here read.
+from its record type's one declaration of each field (``_schema`` of
+``GridCell`` and ``CaseStudyRow`` in :mod:`margfit.simulation`), which one
+CSV and one JSON codec here read.
 The codecs import :mod:`csv` and :mod:`json` on first use, so importing this
 module loads neither (README, Start-up).
 
@@ -44,15 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulation import (
-    _CASE_STUDY_FIELDS,
-    _GRID_FIELDS,
-    CaseStudyResult,
-    CaseStudyRow,
-    ExperimentConfig,
-    ExperimentGrid,
-    GridCell,
-)
+from .simulation import CaseStudyResult, CaseStudyRow, ExperimentConfig, ExperimentGrid, GridCell
 from .tables import INT64_MAX, CountTable, JointDistribution, MarginalDistribution
 from .tables import _integer, _json_array, _json_object
 
@@ -355,10 +348,10 @@ def _csv_value(token: str, column: str, type_, required: bool):
     return None
 
 
-def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind, table):
+def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind):
     """The ``kind`` record of each non-empty CSV record after the ``columns``
     header of ``text`` (line ``first_line`` of ``source``), which ends with its
-    ``table`` fields; the first of any display columns before them is its
+    ``kind`` fields; the first of any display columns before them is its
     1-based position. Text the csv module cannot split, a record of the wrong
     length or out of sequence and a value ``kind`` refuses are parse errors."""
     import csv
@@ -372,9 +365,9 @@ def _csv_table(text: str, source: str, first_line: int, what: str, columns, kind
         raise ParseError(source, first_line, f"missing {what} header")
     if tuple(records[0]) != columns:
         raise ParseError(source, first_line, f"unexpected {what} header {records[0]!r}")
-    display = len(columns) - len(table)
+    display = len(columns) - len(kind._schema)
     # (CSV column, type, required) of each field
-    fields = [(col, type_, req) for col, (_, _, type_, _, req) in zip(columns[display:], table)]
+    fields = [(col, t, req) for col, (_, _, t, _, req) in zip(columns[display:], kind._schema)]
     out = []
     for line_no, record in enumerate(records[1:], start=first_line + 1):
         if not record:
@@ -399,36 +392,36 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _csv_fields(records, table):
-    """The CSV fields of each of ``records``: its ``table`` values in order."""
-    values = attrgetter(*(attr for _, attr, *_ in table))
+def _csv_fields(records, kind):
+    """The CSV fields of each of ``records``: its ``kind`` field values in order."""
+    values = attrgetter(*(attr for _, attr, *_ in kind._schema))
     return (["" if v is None else str(v) for v in values(record)] for record in records)
 
 
-def _json_record(record, table) -> dict:
-    return {key: getattr(record, attr) for key, attr, *_ in table}
+def _json_record(record) -> dict:
+    return {key: getattr(record, attr) for key, attr, *_ in record._schema}
 
 
-def _json_records(data: dict, name: str, what: str, kind, table) -> tuple:
-    """The ``kind`` of each entry of the JSON array ``data[name]``, an object of ``table`` keys."""
-    keys = [key for key, *_ in table]
+def _json_records(data: dict, name: str, what: str, kind) -> tuple:
+    """The ``kind`` of each entry of the JSON array ``data[name]``, an object of its field keys."""
+    keys = [key for key, *_ in kind._schema]
     entries = (_json_object(entry, what, keys) for entry in _json_array(data[name], name))
     return tuple(kind(*(entry[key] for key in keys)) for entry in entries)
 
 
-GRID_COLUMNS = tuple(column for column, *_ in _GRID_FIELDS)
+GRID_COLUMNS = tuple(key for key, *_ in GridCell._schema)
 
 
 def render_grid_csv(grid: ExperimentGrid) -> str:
-    return _csv_text([GRID_COLUMNS, *_csv_fields(grid.cells, _GRID_FIELDS)])
+    return _csv_text([GRID_COLUMNS, *_csv_fields(grid.cells, GridCell)])
 
 
 def parse_grid_csv_text(text: str, source: str = "<string>") -> ExperimentGrid:
-    return ExperimentGrid(_csv_table(text, source, 1, "grid", GRID_COLUMNS, GridCell, _GRID_FIELDS))
+    return ExperimentGrid(_csv_table(text, source, 1, "grid", GRID_COLUMNS, GridCell))
 
 
 def grid_to_json_dict(grid: ExperimentGrid, config: ExperimentConfig) -> dict:
-    cells = [_json_record(cell, _GRID_FIELDS) for cell in grid.cells]
+    cells = [_json_record(cell) for cell in grid.cells]
     return {"config": config.to_dict(), "cells": cells}
 
 
@@ -438,7 +431,7 @@ def grid_from_json_dict(data: dict) -> ExperimentGrid:
     data = _json_object(data, "grid", ("cells",), ("config",))
     if "config" in data:
         ExperimentConfig.from_dict(data["config"])
-    return ExperimentGrid(_json_records(data, "cells", "grid cell", GridCell, _GRID_FIELDS))
+    return ExperimentGrid(_json_records(data, "cells", "grid cell", GridCell))
 
 
 CASE_STUDY_COLUMNS = (
@@ -459,7 +452,7 @@ def _pct(x: float) -> str:
 def render_case_study_csv(result: CaseStudyResult) -> str:
     mask = ",".join(str(j) for j in sorted(result.zero_column_mask))
     rows = [CASE_STUDY_COLUMNS]
-    fields = _csv_fields(result.rows, _CASE_STUDY_FIELDS)
+    fields = _csv_fields(result.rows, CaseStudyRow)
     for i, (row, raw) in enumerate(zip(result.rows, fields), start=1):
         pcts = (100.0 * row.phat, 100.0 * row.ptilde, row.relative_difference_pct)
         rows.append([str(i), *("" if x is None else _pct(x) for x in pcts), *raw])
@@ -472,24 +465,24 @@ def parse_case_study_csv_text(text: str, source: str = "<string>") -> CaseStudyR
         raise ParseError(source, 1, "expected a '#zero_columns=' line")
     mask_text = lines[0].split("=", 1)[1]
     try:
-        mask = frozenset(_count(tok.strip()) for tok in mask_text.split(",") if tok.strip())
-    except ValueError:
+        mask = frozenset(_row(mask_text, source, 1, None, _count))
+    except ParseError:
         raise ParseError(source, 1, f"not a list of column indices: {mask_text!r}") from None
-    body, columns = "\n".join(lines[1:]), CASE_STUDY_COLUMNS
-    rows = _csv_table(body, source, 2, "case-study", columns, CaseStudyRow, _CASE_STUDY_FIELDS)
+    body = "\n".join(lines[1:])
+    rows = _csv_table(body, source, 2, "case-study", CASE_STUDY_COLUMNS, CaseStudyRow)
     return CaseStudyResult(rows=rows, zero_column_mask=mask)
 
 
 def case_study_to_json_dict(result: CaseStudyResult) -> dict:
     return {
         "zero_columns": sorted(result.zero_column_mask),
-        "rows": [_json_record(row, _CASE_STUDY_FIELDS) for row in result.rows],
+        "rows": [_json_record(row) for row in result.rows],
     }
 
 
 def case_study_from_json_dict(data: dict) -> CaseStudyResult:
     data = _json_object(data, "case study", ("zero_columns", "rows"))
-    rows = _json_records(data, "rows", "case-study row", CaseStudyRow, _CASE_STUDY_FIELDS)
+    rows = _json_records(data, "rows", "case-study row", CaseStudyRow)
     zero_columns = _json_array(data["zero_columns"], "zero_columns")
     mask = frozenset(_integer(j, "each zero_columns entry", 0) for j in zero_columns)
     return CaseStudyResult(rows=rows, zero_column_mask=mask)

@@ -229,63 +229,64 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-# A result record's fields in dataclass order: (JSON key and a grid value's CSV
-# column, attribute, type of a present value, least value of an int, required).
-# A field not required is None when absent: an empty CSV field or a JSON null.
-_GRID_FIELDS = (
-    ("n", "n", int, 1, True),
-    ("log_cpr", "log_cpr", float, None, True),
-    ("reduction_pct", "reduction_pct", float, None, False),
-    ("asymptotic_pct", "asymptotic_pct", float, None, False),
-    ("bias_hat", "bias_hat", float, None, False),
-    ("bias_tilde", "bias_tilde", float, None, False),
-    ("zero_columns", "zero_column_events", int, 0, False),
-    ("error", "error", str, None, False),
-)
-_CASE_STUDY_FIELDS = (
-    ("phat", "phat", float, None, True),
-    ("ptilde", "ptilde", float, None, True),
-    ("relative_difference_pct", "relative_difference_pct", float, None, False),
-)
+def _column(kind: type, least: int | None = None, key: str | None = None, default=MISSING):
+    """A field of a ``_record`` class: a ``kind`` value (int, float or str), an
+    int at least ``least``, keyed ``key`` (the attribute name when None) in
+    JSON and, for a grid cell, in CSV. ``default=None`` makes it optional: None
+    when absent, as an empty CSV field or a JSON null."""
+    return field(default=default, metadata={"kind": kind, "least": least, "key": key})
 
 
-def _check_fields(record, table, prefix: str) -> None:
-    """Store each value of the frozen ``record`` as its ``table`` type, refusing
-    a NaN float and keeping an infinite one; messages name ``prefix`` + column."""
-    for column, attr, kind, least, required in table:
-        value = getattr(record, attr)
-        if value is not None or required:
-            name = prefix + column
-            if kind is int:
-                value = _integer(value, name, least)
-            elif kind is str:
-                value = _text(value, name)
-            elif math.isnan(value := _real(value, name)):
-                raise ValueError(f"{name} must not be NaN")
-            object.__setattr__(record, attr, value)
+def _record(prefix: str):
+    """The decorated class, of ``_column`` fields, as a frozen dataclass that
+    stores each value as its type, refusing a NaN float and keeping an
+    infinite one; messages name ``prefix`` + key. Its ``_schema`` holds (key,
+    attribute, type, least value, required) of each field in order."""
+
+    def check(record) -> None:
+        for key, attr, kind, least, required in record._schema:
+            value = getattr(record, attr)
+            if value is not None or required:
+                name = prefix + key
+                if kind is int:
+                    value = _integer(value, name, least)
+                elif kind is str:
+                    value = _text(value, name)
+                elif math.isnan(value := _real(value, name)):
+                    raise ValueError(f"{name} must not be NaN")
+                object.__setattr__(record, attr, value)
+
+    def make(cls):
+        cls.__post_init__ = check
+        cls = dataclass(frozen=True)(cls)
+        cls._schema = tuple(
+            (f.metadata["key"] or f.name, f.name, f.metadata["kind"], f.metadata["least"],
+             f.default is not None)
+            for f in fields(cls)
+        )
+        return cls
+
+    return make
 
 
-@dataclass(frozen=True)
+@_record("grid value ")
 class GridCell:
     """One (n, log cpr) grid point of an experiment.
 
     Numeric fields are ``None`` and ``error`` explains why whenever the cell
     could not be computed; the run itself keeps going. A value outside its
-    ``_GRID_FIELDS`` type or range, or a NaN float, is refused; an infinite
-    float is kept.
+    field's type or range, or a NaN float, is refused; an infinite float is
+    kept.
     """
 
-    n: int
-    log_cpr: float
-    reduction_pct: float | None = None
-    asymptotic_pct: float | None = None
-    bias_hat: float | None = None
-    bias_tilde: float | None = None
-    zero_column_events: int | None = None
-    error: str | None = None
-
-    def __post_init__(self):
-        _check_fields(self, _GRID_FIELDS, "grid value ")
+    n: int = _column(int, 1)
+    log_cpr: float = _column(float)
+    reduction_pct: float | None = _column(float, default=None)
+    asymptotic_pct: float | None = _column(float, default=None)
+    bias_hat: float | None = _column(float, default=None)
+    bias_tilde: float | None = _column(float, default=None)
+    zero_column_events: int | None = _column(int, 0, "zero_columns", default=None)
+    error: str | None = _column(str, default=None)
 
 
 @dataclass(frozen=True)
@@ -693,17 +694,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     return ExperimentGrid(cells=tuple(cell for _, cell in sorted(zip(order, cells))))
 
 
-@dataclass(frozen=True)
+@_record("")
 class CaseStudyRow:
     """Marginal estimates for one row, with and without the adjustment, checked
     as ``GridCell`` is; only ``relative_difference_pct`` may be None."""
 
-    phat: float
-    ptilde: float
-    relative_difference_pct: float | None
-
-    def __post_init__(self):
-        _check_fields(self, _CASE_STUDY_FIELDS, "")
+    phat: float = _column(float)
+    ptilde: float = _column(float)
+    relative_difference_pct: float | None = _column(float, default=None)
 
 
 @dataclass(frozen=True)

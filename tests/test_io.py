@@ -43,6 +43,7 @@ from margfit.io import (
     render_sections,
     write_text,
 )
+import margfit.io as io_module
 import margfit.simulation as simulation
 from margfit.simulation import GridCell
 from margfit.tables import MarginalDistribution
@@ -372,7 +373,7 @@ class TestCsvRecordsReadNumbersLikeTables:
             parse_grid_csv_text(grid_text(**fields), "g.csv")
         assert (info.value.source, info.value.line) == ("g.csv", 2)
 
-    @pytest.mark.parametrize("mask", ["-3", "1_0", "99999999999999999999", "٣"])
+    @pytest.mark.parametrize("mask", ["-3", "1_0", "99999999999999999999", "٣", "1,,2", "1,", ","])
     def test_zero_column_index_is_parse_error(self, mask):
         text = f"#zero_columns={mask}\n" + ",".join(CASE_STUDY_COLUMNS) + "\n"
         with pytest.raises(ParseError, match="column indices") as info:
@@ -700,30 +701,46 @@ class TestCaseStudyRowColumn:
         assert [r.split(",")[0] for r in records] == [str(i) for i in range(1, 9)]
 
 
-class TestRecordFieldTables:
-    """Each record type has one field table in margfit.simulation, and the
-    CSV columns and JSON keys of both formats come from it."""
+def record_keys(kind) -> tuple:
+    """The JSON keys of the record type ``kind``, read from its field declarations."""
+    return tuple(f.metadata["key"] or f.name for f in dataclasses.fields(kind))
 
-    @pytest.mark.parametrize(
-        "kind, table", [(GridCell, "_GRID_FIELDS"), (CaseStudyRow, "_CASE_STUDY_FIELDS")]
-    )
-    def test_table_attributes_are_the_dataclass_fields_in_order(self, kind, table):
-        attributes = [attr for _, attr, *_ in getattr(simulation, table)]
-        assert attributes == [f.name for f in dataclasses.fields(kind)]
 
-    def test_grid_columns_and_json_keys_come_from_the_table(self):
+class TestRecordSchemas:
+    """Each record type declares each field once in margfit.simulation, and
+    the CSV columns and JSON keys of both formats come from that declaration."""
+
+    def test_grid_columns_and_json_keys_come_from_the_record(self):
         cfg, grid = tiny_grid()
-        columns = tuple(column for column, *_ in simulation._GRID_FIELDS)
+        columns = record_keys(GridCell)
         assert GRID_COLUMNS == columns
         assert tuple(render_grid_csv(grid).splitlines()[0].split(",")) == columns
         for cell in grid_to_json_dict(grid, cfg)["cells"]:
             assert tuple(cell) == columns
 
-    def test_case_study_json_keys_come_from_the_table(self):
+    def test_case_study_json_keys_come_from_the_record(self):
         result = run_case_study(load_gidas_table3(), load_destatis2014())
-        keys = tuple(key for key, *_ in simulation._CASE_STUDY_FIELDS)
+        keys = record_keys(CaseStudyRow)
         for row in case_study_to_json_dict(result)["rows"]:
             assert tuple(row) == keys
+
+    def test_a_declared_record_gets_both_codecs(self):
+        @simulation._record("pair ")
+        class Pair:
+            count: int = simulation._column(int, 2, "k")
+            note: str | None = simulation._column(str, default=None)
+
+        records = (Pair(3, "a"), Pair(4))
+        text = io_module._csv_text([("k", "note"), *io_module._csv_fields(records, Pair)])
+        assert text == "k,note\n3,a\n4,\n"
+        assert io_module._csv_table(text, "p.csv", 1, "pair", ("k", "note"), Pair) == records
+        entries = [io_module._json_record(record) for record in records]
+        assert entries == [{"k": 3, "note": "a"}, {"k": 4, "note": None}]
+        assert io_module._json_records({"pairs": entries}, "pairs", "pair", Pair) == records
+        with pytest.raises(ValueError, match="^pair k must be >= 2$"):
+            Pair(1)
+        with pytest.raises(ParseError, match="^p.csv:2: pair k must be >= 2$"):
+            io_module._csv_table("k,note\n1,\n", "p.csv", 1, "pair", ("k", "note"), Pair)
 
 
 class TestEmptyCsvFields:

@@ -22,6 +22,7 @@ from margfit import (
     SampleBatch,
     WeightVector,
     cross_product_ratios,
+    ipf_fit,
     replicate_marginal_estimates,
     tables,
 )
@@ -54,8 +55,13 @@ def halves(cells):
     return adjusted(cells, [0.5, 0.5])
 
 
+def fit(row_target, max_iter=1000):
+    init = joint([[0.375, 0.125], [0.125, 0.375]])
+    return ipf_fit(init, row(row_target), row([0.5, 0.5]), max_iter=max_iter)
+
+
 # name -> (factory of the reference value, variants that differ from it in
-# one respect: an entry, the shape or the dims)
+# one respect: an entry, the shape or the dims; for an IpfResult, the fit)
 EQUALITY_CASES = {
     "JointDistribution": (
         lambda: joint([[0.25, 0.25], [0.25, 0.25]]),
@@ -125,6 +131,13 @@ EQUALITY_CASES = {
             lambda: CovarianceMatrix(
                 np.diag([0.25, 0.25, 0.5]) - np.outer([0.25, 0.25, 0.5], [0.25, 0.25, 0.5])
             ),
+        ],
+    ),
+    "IpfResult": (
+        lambda: fit([0.5, 0.5]),
+        [
+            lambda: fit([0.25, 0.75]),
+            lambda: fit([0.25, 0.75], max_iter=0),
         ],
     ),
 }
